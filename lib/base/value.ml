@@ -48,6 +48,22 @@ let rec hash = function
   | Pair (x, y) -> Hashtbl.hash (5, hash x, hash y)
   | Coll xs -> List.fold_left (fun acc v -> (acc * 31) + hash v) 7 xs
 
+let hash_array args = Array.fold_left (fun acc v -> (acc * 31) + hash v) 17 args
+
+module Tbl = Hashtbl.Make (struct
+  type nonrec t = t
+
+  let equal = equal
+  let hash = hash
+end)
+
+module Array_tbl = Hashtbl.Make (struct
+  type nonrec t = t array
+
+  let equal a b = Array.length a = Array.length b && Array.for_all2 equal a b
+  let hash = hash_array
+end)
+
 let is_null = function Null _ -> true | _ -> false
 
 let int x = Int x

@@ -32,6 +32,15 @@ val equal_maybe : t -> t -> bool
     order). *)
 
 val hash : t -> int
+(** Consistent with {!equal}: [0.] and [-0.] hash alike, as do all NaNs. *)
+
+val hash_array : t array -> int
+(** {!hash} combined over an array: the hash of {!Array_tbl}. *)
+
+module Tbl : Hashtbl.S with type key = t
+module Array_tbl : Hashtbl.S with type key = t array
+(** Hash tables under {!equal}, element-wise for arrays: the fact
+    identity of the Vadalog store. *)
 
 val is_null : t -> bool
 

@@ -27,7 +27,7 @@ let compare a b =
     in
     go 0
 
-let hash t = Array.fold_left (fun acc v -> (acc * 31) + Value.hash v) 17 t
+let hash = Value.hash_array
 
 let has_null t = Array.exists Value.is_null t
 

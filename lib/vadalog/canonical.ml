@@ -43,9 +43,14 @@ let rec render_value buf origin memo (v : Value.t) =
         Buffer.add_string buf s)
       rendered;
     Buffer.add_char buf '}'
+  | Value.Float x ->
+    (* Exact (hexadecimal), so floats that differ in the last bit
+       render differently; the values [Value.equal] identifies (0. and
+       -0., every NaN) render alike. *)
+    let x = if Float.is_nan x then Float.nan else if x = 0. then 0. else x in
+    Printf.bprintf buf "float:%h" x
   | scalar ->
-    (* Type-tagged like [Database.value_key], so int 1, float 1. and
-       string "1" stay distinct. *)
+    (* Type-tagged, so int 1, float 1. and string "1" stay distinct. *)
     Buffer.add_string buf (Value.type_name scalar);
     Buffer.add_char buf ':';
     Buffer.add_string buf (Value.to_string scalar)

@@ -13,6 +13,8 @@
 
 val of_engine : Engine.t -> string
 (** One sorted line per fact, [pred(type:value,...)], newline-terminated.
-    Scalars are type-tagged (like {!Database.value_key}), collections
-    re-sorted under the canonical null naming. Intended for saturated,
+    Scalars are type-tagged ([int:1], [string:1]) and floats rendered
+    exactly in hexadecimal ([float:0x1p+0]), so distinct values never
+    share a line; collections are re-sorted under the canonical null
+    naming. Intended for saturated,
     quiescent engines. *)

@@ -8,19 +8,6 @@ type provenance =
       parents : (string * Value.t array) list;
     }
 
-let value_key v = Value.type_name v ^ "\x01" ^ Value.to_string v
-
-let args_key args =
-  let buf = Buffer.create 32 in
-  Array.iter
-    (fun v ->
-      let s = value_key v in
-      Buffer.add_string buf (string_of_int (String.length s));
-      Buffer.add_char buf ':';
-      Buffer.add_string buf s)
-    args;
-  Buffer.contents buf
-
 (* Positional indexes are built lazily on the first [lookup] over a
    position. Publication must be safe under concurrent readers (the
    server shares quiescent databases across domains): each index table
@@ -31,12 +18,16 @@ let args_key args =
    contract in [database.mli]/[engine.mli]. *)
 module Index_map = Map.Make (Int)
 
-type index = (string, int list ref) Hashtbl.t
+(* Insertion indexes of the facts sharing one value at a position,
+   ascending in the live prefix [0, len); grown by doubling. *)
+type bucket = { mutable ids : int array; mutable len : int }
+
+type index = bucket Value.Tbl.t
 
 type pred_store = {
   mutable data : Value.t array array;
   mutable size : int;
-  keys : (string, int) Hashtbl.t;  (* fact key -> insertion index *)
+  keys : int Value.Array_tbl.t;  (* fact -> insertion index *)
   mutable prov : provenance array;
   indexes : index Index_map.t Atomic.t;
 }
@@ -58,7 +49,7 @@ let store t pred =
       {
         data = [||];
         size = 0;
-        keys = Hashtbl.create 256;
+        keys = Value.Array_tbl.create 256;
         prov = [||];
         indexes = Atomic.make Index_map.empty;
       }
@@ -78,45 +69,44 @@ let grow s =
     s.prov <- prov'
   end
 
+let bucket_add table v idx =
+  match Value.Tbl.find_opt table v with
+  | None -> Value.Tbl.add table v { ids = [| idx |]; len = 1 }
+  | Some b ->
+    if b.len = Array.length b.ids then begin
+      let ids = Array.make (2 * b.len) 0 in
+      Array.blit b.ids 0 ids 0 b.len;
+      b.ids <- ids
+    end;
+    b.ids.(b.len) <- idx;
+    b.len <- b.len + 1
+
 (* Maintaining existing indexes on insert is writer-side work: [add] is
    only legal from the single mutating domain (see the contract). *)
 let index_insert s pos v idx =
   match Index_map.find_opt pos (Atomic.get s.indexes) with
   | None -> ()
-  | Some table ->
-    let k = value_key v in
-    (match Hashtbl.find_opt table k with
-    | Some cell -> cell := idx :: !cell
-    | None -> Hashtbl.add table k (ref [ idx ]))
+  | Some table -> bucket_add table v idx
 
-(* [key] must equal [args_key args]; the parallel chase's workers
-   compute it off the writer domain so the merge replay doesn't. *)
-let add_prekeyed t ?(prov = Edb) ~key pred args =
+let add t ?(prov = Edb) pred args =
   let s = store t pred in
-  if Hashtbl.mem s.keys key then false
+  if Value.Array_tbl.mem s.keys args then false
   else begin
     grow s;
     let idx = s.size in
     s.data.(idx) <- args;
     if t.track_provenance then s.prov.(idx) <- prov;
-    Hashtbl.add s.keys key idx;
+    Value.Array_tbl.add s.keys args idx;
     s.size <- idx + 1;
     t.total <- t.total + 1;
     Array.iteri (fun pos v -> index_insert s pos v idx) args;
     true
   end
 
-let add t ?prov pred args = add_prekeyed t ?prov ~key:(args_key args) pred args
-
 let mem t pred args =
   match Hashtbl.find_opt t.preds pred with
   | None -> false
-  | Some s -> Hashtbl.mem s.keys (args_key args)
-
-let mem_key t pred ~key =
-  match Hashtbl.find_opt t.preds pred with
-  | None -> false
-  | Some s -> Hashtbl.mem s.keys key
+  | Some s -> Value.Array_tbl.mem s.keys args
 
 let pred_size t pred =
   match Hashtbl.find_opt t.preds pred with None -> 0 | Some s -> s.size
@@ -140,15 +130,10 @@ let iter_pred t pred f =
     done
 
 let build_index s pos =
-  let table = Hashtbl.create (max 16 s.size) in
+  let table = Value.Tbl.create (max 16 s.size) in
   for i = 0 to s.size - 1 do
     let args = s.data.(i) in
-    if pos < Array.length args then begin
-      let k = value_key args.(pos) in
-      match Hashtbl.find_opt table k with
-      | Some cell -> cell := i :: !cell
-      | None -> Hashtbl.add table k (ref [ i ])
-    end
+    if pos < Array.length args then bucket_add table args.(pos) i
   done;
   table
 
@@ -173,9 +158,13 @@ let lookup t pred ~pos v =
       | Some table -> table
       | None -> publish_index s pos (build_index s pos)
     in
-    (match Hashtbl.find_opt table (value_key v) with
-    | Some cell -> List.rev !cell
-    | None -> [])
+    (match Value.Tbl.find_opt table v with
+    | None -> []
+    | Some b ->
+      let rec collect i acc =
+        if i < 0 then acc else collect (i - 1) (b.ids.(i) :: acc)
+      in
+      collect (b.len - 1) [])
 
 (* With a pool, each missing position's index is built as its own task
    — index construction over a quiescent store is read-only until the
@@ -213,6 +202,6 @@ let provenance_of t pred args =
     match Hashtbl.find_opt t.preds pred with
     | None -> None
     | Some s ->
-      (match Hashtbl.find_opt s.keys (args_key args) with
+      (match Value.Array_tbl.find_opt s.keys args with
       | None -> None
       | Some idx -> Some s.prov.(idx))

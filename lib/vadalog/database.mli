@@ -1,6 +1,10 @@
 (** The fact store: facts per predicate, in insertion order, with duplicate
     elimination, lazily-built positional indexes and optional provenance.
 
+    Fact identity is {!Vadasa_base.Value.equal}, argument by argument:
+    [Int 1], [Float 1.] and [Str "1"] are three facts, and floats
+    compare exactly ([0.] and [-0.] are one value, as are all NaNs).
+
     Insertion order is what the semi-naive evaluator's deltas are defined
     over: facts with index ≥ a watermark are "new".
 
@@ -27,31 +31,20 @@ type provenance =
 type t
 
 val create : ?track_provenance:bool -> unit -> t
-(** An empty store. [track_provenance] (default [false]) keeps the
-    {!provenance} of every fact; the engine turns it on so
-    explanations ({!provenance_of}) work. *)
+(** An empty store. [track_provenance] (default [true]) keeps the
+    {!provenance} of every fact, so explanations ({!provenance_of})
+    work; the engine passes its own setting. *)
 
 val add : t -> ?prov:provenance -> string -> Vadasa_base.Value.t array -> bool
-(** [true] when the fact was new. Default provenance is [Edb].
-    Write-side: subject to the single-writer contract above. *)
-
-val add_prekeyed :
-  t -> ?prov:provenance -> key:string -> string ->
-  Vadasa_base.Value.t array -> bool
-(** {!add} with the dedup key supplied by the caller. [key] {e must}
-    equal [{!args_key} args] — this is unchecked. The parallel chase's
-    workers compute keys off the writer domain during their read-only
-    join phase, so the single-threaded merge replay skips the key
-    construction; any other caller should use {!add}. Write-side. *)
+(** [true] when the fact was new. Default provenance is [Edb]. The
+    store keeps [args] itself (no copy): callers must not mutate it
+    afterwards. Write-side: subject to the single-writer contract above. *)
 
 val mem : t -> string -> Vadasa_base.Value.t array -> bool
-(** Membership under standard equality (labelled nulls compare by
-    label). Read-side: safe from any domain on a quiescent store. *)
-
-val mem_key : t -> string -> key:string -> bool
-(** {!mem} by precomputed {!args_key}. Read-side: safe from any domain
-    on a quiescent store — the parallel merge's sharded dedup probes
-    this concurrently before any insertion of the batch happens. *)
+(** Membership under fact identity (labelled nulls compare by label).
+    Read-side: safe from any domain on a quiescent store — the parallel
+    merge's sharded dedup probes it concurrently before any insertion of
+    the batch happens. *)
 
 val pred_size : t -> string -> int
 (** Number of facts of a predicate (0 for unknown predicates). *)
@@ -92,10 +85,3 @@ val predicates : t -> string list
 
 val provenance_of : t -> string -> Vadasa_base.Value.t array -> provenance option
 (** [None] when the fact is absent or provenance tracking is off. *)
-
-val value_key : Vadasa_base.Value.t -> string
-(** Canonical, type-tagged key — distinguishes [Int 1] from [Str "1"]. *)
-
-val args_key : Vadasa_base.Value.t array -> string
-(** {!value_key} over a fact's arguments, comma-joined — the store's
-    internal dedup key, exposed for canonical renderings of facts. *)

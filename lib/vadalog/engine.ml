@@ -129,9 +129,9 @@ type compiled_rule = {
          minus existentials (those are invented at merge time) *)
   c_head_atoms : Atom.t array;
       (* head atoms in source order. Workers of existential-free rules
-         evaluate these during phase 1 — head args and dedup keys are
-         pure functions of the body binding, so precomputing them moves
-         that work off the serial merge (see [run_parallel_batch]). *)
+         evaluate these during phase 1 — head args are pure functions of
+         the body binding, so precomputing them moves that work off the
+         serial merge (see [run_parallel_batch]). *)
   c_spd : float array;
       (* c_spd.(k): EWMA of scanned facts per delta fact of plan k —
          the cost model behind adaptive chunk sizing. Per plan, not per
@@ -178,13 +178,9 @@ type binding_ctx = {
 
 (* ---- parallel-evaluation worker scratch ------------------------------- *)
 
-(* A head fact a worker precomputed during phase 1: argument values and
-   the store's dedup key, both pure functions of the body binding. *)
-type head_fact = {
-  h_pred : string;
-  h_args : Value.t array;
-  h_key : string;  (* = Database.args_key h_args *)
-}
+(* A head fact a worker precomputed during phase 1: a pure function of
+   the body binding. *)
+type head_fact = { h_pred : string; h_args : Value.t array }
 
 type emission = {
   e_vals : Value.t array;
@@ -271,9 +267,11 @@ type t = {
   db : Database.t;
   strat : Stratify.t;
   ids : Ids.t;
-  skolem : (string, (string * Value.t) list) Hashtbl.t;
+  skolem : (int, (string * Value.t) list Value.Array_tbl.t) Hashtbl.t;
+      (* rule id -> frontier values -> invented nulls *)
   null_origins : (int, null_origin) Hashtbl.t;  (* null label -> Skolem term *)
-  agg_groups : (int, (string, group) Hashtbl.t) Hashtbl.t;
+  agg_groups : (int, group Value.Array_tbl.t) Hashtbl.t;
+      (* rule id -> group-variable values -> group *)
   compiled : (int, compiled_rule) Hashtbl.t;
   (* Always-on chase statistics: cheap enough to keep unconditionally,
      they make Limit errors diagnosable and feed the telemetry report. *)
@@ -593,7 +591,7 @@ let create ?(config = default_config) ?(first_null_label = 1) ?strat
     db;
     strat;
     ids = Ids.create ~start:first_null_label ();
-    skolem = Hashtbl.create 256;
+    skolem = Hashtbl.create 16;
     null_origins = Hashtbl.create 256;
     agg_groups = Hashtbl.create 16;
     compiled;
@@ -622,21 +620,24 @@ let shutdown t = if t.pool_owned then Option.iter Task_pool.stop t.pool
 
 (* ---- evaluation ------------------------------------------------------- *)
 
-let env_key env vars =
-  let buf = Buffer.create 32 in
-  List.iter
-    (fun v ->
-      let value =
-        match Hashtbl.find_opt env v with
-        | Some value -> value
-        | None -> invalid_arg ("Engine: unbound frontier variable " ^ v)
-      in
-      let s = Database.value_key value in
-      Buffer.add_string buf (string_of_int (String.length s));
-      Buffer.add_char buf ':';
-      Buffer.add_string buf s)
-    vars;
-  Buffer.contents buf
+(* Rule validation guarantees these bindings, so a miss is an engine bug. *)
+let bound env v =
+  match Hashtbl.find_opt env v with
+  | Some value -> value
+  | None -> invalid_arg ("Engine: unbound variable " ^ v)
+
+let term_value env = function Term.Const c -> c | Term.Var v -> bound env v
+
+let env_values env vars = Array.of_list (List.map (bound env) vars)
+
+(* The per-rule table of a Skolem memo or of aggregation groups. *)
+let rule_table tables rule_id =
+  match Hashtbl.find_opt tables rule_id with
+  | Some table -> table
+  | None ->
+    let table = Value.Array_tbl.create 64 in
+    Hashtbl.add tables rule_id table;
+    table
 
 (* Match [fact] against [terms] under the context's environment; on success
    call [k] and undo trail afterwards; returns unit. *)
@@ -718,18 +719,7 @@ let run_plan ?(poll = ignore) t plan ~delta_range ~prof ctx ~on_binding =
           done
         | `List idxs -> List.iter visit idxs)
       | S_neg { pred; terms } ->
-        let args =
-          Array.map
-            (fun term ->
-              match term with
-              | Term.Const c -> c
-              | Term.Var v ->
-                (match Hashtbl.find_opt ctx.env v with
-                | Some value -> value
-                | None ->
-                  invalid_arg "Engine: unbound variable in negated atom"))
-            terms
-        in
+        let args = Array.map (term_value ctx.env) terms in
         if not (Database.mem t.db pred args) then exec (i + 1)
       | S_guard e -> if Expr.eval_bool ctx.env e then exec (i + 1)
       | S_assign (x, e) ->
@@ -815,22 +805,21 @@ let emit_plain t cr ctx =
     match cr.existentials with
     | [] -> []
     | existentials ->
-      let key =
-        string_of_int rule.Rule.id ^ "|" ^ env_key ctx.env cr.frontier
-      in
+      let memo = rule_table t.skolem rule.Rule.id in
+      let key = env_values ctx.env cr.frontier in
       let assignment =
-        match Hashtbl.find_opt t.skolem key with
+        match Value.Array_tbl.find_opt memo key with
         | Some assignment -> assignment
         | None ->
           let assignment =
             List.map (fun v -> (v, Ids.fresh_null t.ids)) existentials
           in
-          Hashtbl.add t.skolem key assignment;
-          (* The frontier binding is complete here (env_key above would
-             have raised otherwise); remembering it per invented null
-             gives every null a label-independent Skolem identity. *)
+          Value.Array_tbl.add memo key assignment;
+          (* The frontier binding is complete here (env_values above
+             would have raised otherwise); remembering it per invented
+             null gives every null a label-independent Skolem identity. *)
           let frontier_binding =
-            List.map (fun fv -> (fv, Hashtbl.find ctx.env fv)) cr.frontier
+            List.mapi (fun i fv -> (fv, key.(i))) cr.frontier
           in
           List.iter
             (fun (v, value) ->
@@ -872,33 +861,6 @@ let emit_plain t cr ctx =
   List.iter (fun (v, _) -> Hashtbl.remove ctx.env v) introduced;
   check_fact_limit t;
   !any_new
-
-let contributor_key ctx contributors =
-  let buf = Buffer.create 16 in
-  List.iter
-    (fun term ->
-      let value =
-        match term with
-        | Term.Const c -> c
-        | Term.Var v ->
-          (match Hashtbl.find_opt ctx.env v with
-          | Some value -> value
-          | None -> invalid_arg "Engine: unbound contributor variable")
-      in
-      let s = Database.value_key value in
-      Buffer.add_string buf (string_of_int (String.length s));
-      Buffer.add_char buf ':';
-      Buffer.add_string buf s)
-    contributors;
-  Buffer.contents buf
-
-let groups_of_rule t rule_id =
-  match Hashtbl.find_opt t.agg_groups rule_id with
-  | Some groups -> groups
-  | None ->
-    let groups = Hashtbl.create 64 in
-    Hashtbl.add t.agg_groups rule_id groups;
-    groups
 
 (* Evaluate the post-aggregation phase (assignments and guards over the
    bound aggregate result) and, if every guard holds, emit the heads.
@@ -942,28 +904,28 @@ let emit_agg_head t cr bindings =
    soon as they pass. Returns true when new facts appeared. *)
 let eval_agg_rule t cr ~delta_range ~plan_idx =
   let agg = Option.get cr.agg in
-  let groups = groups_of_rule t cr.rule.Rule.id in
+  let groups = rule_table t.agg_groups cr.rule.Rule.id in
   let group_vars = cr.group_vars in
   let ctx = { env = Hashtbl.create 16; parents = [] } in
   let any_new = ref false in
   let on_binding () =
-    let gkey = env_key ctx.env group_vars in
+    let gkey = env_values ctx.env group_vars in
     let group =
-      match Hashtbl.find_opt groups gkey with
+      match Value.Array_tbl.find_opt groups gkey with
       | Some group -> group
       | None ->
-        let snapshot =
-          List.map (fun v -> (v, Hashtbl.find ctx.env v)) group_vars
-        in
+        let snapshot = List.mapi (fun i v -> (v, gkey.(i))) group_vars in
         let group = { state = Aggregate.create agg.Rule.agg_op; snapshot } in
-        Hashtbl.add groups gkey group;
+        Value.Array_tbl.add groups gkey group;
         t.s_agg_groups <- t.s_agg_groups + 1;
         cr.c_prof.Profile.r_groups <- cr.c_prof.Profile.r_groups + 1;
         group
     in
-    let ckey = contributor_key ctx agg.Rule.agg_contributors in
+    let contributor =
+      Array.of_list (List.map (term_value ctx.env) agg.Rule.agg_contributors)
+    in
     let contribution = Expr.eval ctx.env agg.Rule.agg_arg in
-    ignore (Aggregate.contribute group.state ~contributor:ckey contribution);
+    ignore (Aggregate.contribute group.state ~contributor contribution);
     (match agg.Rule.agg_result with
     | Rule.Test (op, rhs) ->
       let current = Aggregate.current group.state in
@@ -977,7 +939,7 @@ let eval_agg_rule t cr ~delta_range ~plan_idx =
   run_plan t cr.plans.(plan_idx) ~delta_range ~prof:cr.c_prof ctx ~on_binding;
   (match agg.Rule.agg_result with
   | Rule.Bind x ->
-    Hashtbl.iter
+    Value.Array_tbl.iter
       (fun _ group ->
         if Aggregate.contributors group.state > 0 then begin
           let bindings = (x, Aggregate.current group.state) :: group.snapshot in
@@ -1016,20 +978,20 @@ let eval_timed cr f =
      contiguous chunks sized by the rule's cost model; each worker runs
      the join plan over its chunk against the frozen database into a
      reused [wscratch]. For existential-free rules the worker also
-     evaluates the head atoms and their dedup keys — pure functions of
-     the body binding — so the merge doesn't have to. Nothing is
-     written to the database, the skolem memo, or the shared profiler.
+     evaluates the head atoms — pure functions of the body binding —
+     so the merge doesn't have to. Nothing is written to the database,
+     the skolem memo, or the shared profiler.
    - phase 2a (parallel, read-only): precomputed head facts are sharded
-     by key hash and classified against the frozen store: a candidate
-     whose key is already present, or appears earlier in replay order,
+     by argument hash and classified against the frozen store: a
+     candidate already present, or appearing earlier in replay order,
      is a definitive duplicate. Duplicate verdicts are sound under
-     merge interleaving because the store only ever gains keys.
+     merge interleaving because the store only ever gains facts.
    - phase 2b (single-threaded merge): the coordinator replays the
      buffered bindings in job order, then chunk order, then binding
      order — exactly the order sequential evaluation would have emitted
      them. Classified duplicates reduce to a counter bump; the rest
-     insert via their precomputed key (still probing, so the
-     classification only ever skips work, never changes outcomes).
+     go through [Database.add] (still probing, so the classification
+     only ever skips work, never changes outcomes).
      Rules with existentials replay through [emit_plain] as before, so
      skolemization stays sequential and deterministic. Insertion order,
      labelled null names, dedup outcomes and provenance are therefore
@@ -1105,20 +1067,20 @@ let parallel_safe cr k =
    definitive duplicate or a possible insert, before the merge touches
    the database. Candidates are flattened in replay order; verdicts go
    into a bytes array indexed by that order (the merge walks it with a
-   cursor). The work is sharded by key hash so shards share nothing:
-   each shard sees every candidate of its keys in replay order and
-   marks a candidate [Dup] when its key is in the frozen store or an
-   earlier same-shard candidate carries the same (pred, key).
+   cursor). The work is sharded by the hash of the head's arguments so
+   shards share nothing: each shard sees every candidate of its facts
+   in replay order and marks a candidate [Dup] when its fact is in the
+   frozen store or an earlier same-shard candidate is the same fact.
 
    Soundness of a [Dup] verdict under merge interleaving: the store
-   only ever gains keys, so "present before the merge" implies
-   "present at replay time"; and an earlier same-key candidate has, by
-   replay time, either inserted the key or been a duplicate of it —
-   either way the key is present. Non-[Dup] candidates are merely
+   only ever gains facts, so "present before the merge" implies
+   "present at replay time"; and an earlier equal candidate has, by
+   replay time, either inserted the fact or been a duplicate of it —
+   either way the fact is present. Non-[Dup] candidates are merely
    *maybe* new: a skolem-rule emission replayed in between may have
    inserted the same fact, which is why the merge still probes them
-   (via [Database.add_prekeyed]). Classification skips work; it never
-   decides an insert. *)
+   (via [Database.add]). Classification skips work; it never decides
+   an insert. *)
 let classify_batch t pool results =
   let total = ref 0 in
   Array.iter
@@ -1132,7 +1094,7 @@ let classify_batch t pool results =
   let n = !total in
   if n = 0 then Bytes.empty
   else begin
-    let preds = Array.make n "" and keys = Array.make n "" in
+    let heads = Array.make n { h_pred = ""; h_args = [||] } in
     let i = ref 0 in
     Array.iter
       (function
@@ -1140,30 +1102,37 @@ let classify_batch t pool results =
           for k = 0 to ws.ws_n - 1 do
             Array.iter
               (fun h ->
-                preds.(!i) <- h.h_pred;
-                keys.(!i) <- h.h_key;
+                heads.(!i) <- h;
                 incr i)
               ws.ws_emits.(k).e_heads
           done
         | Error _ -> ())
       results;
     let verdicts = Bytes.make n '\000' in
-    (* '\001' = definitive duplicate, '\000' = maybe new *)
+    (* '\001' = definitive duplicate, '\000' = maybe new; [seen] maps
+       arguments to the preds already classified with them. *)
     let classify seen idx =
-      let key = keys.(idx) in
-      let pk = (preds.(idx), key) in
-      if Hashtbl.mem seen pk || Database.mem_key t.db preds.(idx) ~key then
+      let { h_pred; h_args } = heads.(idx) in
+      let preds =
+        Option.value ~default:[] (Value.Array_tbl.find_opt seen h_args)
+      in
+      if List.mem h_pred preds || Database.mem t.db h_pred h_args then
         Bytes.set verdicts idx '\001'
-      else Hashtbl.add seen pk ()
+      else Value.Array_tbl.replace seen h_args (h_pred :: preds)
     in
     if n >= dedup_parallel_floor && Task_pool.domains pool > 1 then begin
-      (* Shard by key hash only (not pred): two preds sharing a key land
-         in the same shard, where the (pred, key) table tells them
-         apart. Built back-to-front so each bucket lists its candidate
-         indexes in increasing replay order. *)
+      (* Shard by the arguments only (not pred): two preds sharing
+         arguments land in the same shard, where [seen] tells them
+         apart. The hash is re-mixed so a shard's candidates still
+         spread over its own tables' buckets. Built back-to-front so
+         each bucket lists its candidate indexes in increasing replay
+         order. *)
       let buckets = Array.make dedup_shards [] in
       for idx = n - 1 downto 0 do
-        let s = Hashtbl.hash keys.(idx) land (dedup_shards - 1) in
+        let s =
+          Hashtbl.hash (Value.hash_array heads.(idx).h_args)
+          land (dedup_shards - 1)
+        in
         buckets.(s) <- idx :: buckets.(s)
       done;
       let tasks =
@@ -1173,7 +1142,7 @@ let classify_batch t pool results =
                else
                  Some
                    (fun () ->
-                     let seen = Hashtbl.create 256 in
+                     let seen = Value.Array_tbl.create 256 in
                      List.iter (classify seen) idxs))
         |> Array.of_list
       in
@@ -1184,7 +1153,7 @@ let classify_batch t pool results =
         (Task_pool.run_all pool tasks)
     end
     else begin
-      let seen = Hashtbl.create 256 in
+      let seen = Value.Array_tbl.create 256 in
       for idx = 0 to n - 1 do
         classify seen idx
       done
@@ -1229,13 +1198,9 @@ let run_parallel_batch t pool ~budget jobs =
                    else
                      Array.map
                        (fun atom ->
-                         let args =
-                           Array.map (Expr.eval ctx.env) atom.Atom.args
-                         in
                          {
                            h_pred = atom.Atom.pred;
-                           h_args = args;
-                           h_key = Database.args_key args;
+                           h_args = Array.map (Expr.eval ctx.env) atom.Atom.args;
                          })
                        cr.c_head_atoms
                  in
@@ -1310,8 +1275,7 @@ let run_parallel_batch t pool ~budget jobs =
                   (fun h ->
                     let added =
                       Bytes.get verdicts !cursor = '\000'
-                      && Database.add_prekeyed t.db ~prov ~key:h.h_key
-                           h.h_pred h.h_args
+                      && Database.add t.db ~prov h.h_pred h.h_args
                     in
                     incr cursor;
                     record_derivation t cr h.h_pred added)

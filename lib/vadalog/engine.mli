@@ -24,8 +24,8 @@
     model (estimated scanned facts), batches below a work threshold
     run sequentially, workers reuse join scratch from a lock-free
     {!Joinstate} bank, and for existential-free rules the workers
-    precompute head facts and dedup keys so the merge's serial tail
-    shrinks to classified counter bumps and pre-keyed inserts. Results
+    precompute head facts so the merge's serial tail shrinks to
+    classified counter bumps and inserts. Results
     — fact insertion order, labelled-null names, provenance, dedup and
     aggregate-contributor semantics — are byte-identical to
     [~domains:1]. Rules whose plans read their own head predicates,
@@ -190,7 +190,7 @@ val null_origin : t -> int -> null_origin option
     engine's database may then hold a partial continuation and must be
     discarded in favour of a fresh from-scratch engine over the union.
     Aggregate-{e test} rules continue fine: their contributor tables
-    persist inside the engine and deduplicate by contributor key. *)
+    persist inside the engine and deduplicate by contributor values. *)
 
 module Snapshot : sig
   type t

@@ -70,6 +70,16 @@ let canonical_incremental ~domains src base deltas =
   V.Engine.shutdown engine;
   c
 
+let test_canonical_floats_exact () =
+  (* An incremental-vs-scratch check is only as sharp as the rendering:
+     facts that differ past the 12th digit must render differently. *)
+  let render x =
+    canonical_scratch "copy(X) :- w(X)." [ ("w", [| Value.Float x |]) ]
+  in
+  Alcotest.(check bool) "0.1 + 0.2 vs 0.3" false
+    (String.equal (render (0.1 +. 0.2)) (render 0.3));
+  Alcotest.(check string) "0. and -0. alike" (render 0.) (render (-0.))
+
 let test_incremental_equals_scratch () =
   let expected = canonical_scratch monotone_src (items 0 30) in
   Alcotest.(check bool) "chase derived something" true
@@ -607,6 +617,8 @@ let () =
     [
       ( "engine",
         [
+          Alcotest.test_case "canonical floats are exact" `Quick
+            test_canonical_floats_exact;
           Alcotest.test_case "append = scratch at 1/2/4 domains" `Quick
             test_incremental_equals_scratch;
           Alcotest.test_case "negation: safe delta continues" `Quick

@@ -99,21 +99,17 @@ let test_pool_stop_idempotent () =
 
 (* --- byte-identity across domain counts ----------------------------------- *)
 
-(* Canonical rendering of everything observable about a finished chase:
-   every predicate's facts in insertion order. Two runs are considered
-   byte-identical iff these strings are equal. *)
+(* Everything observable about a finished chase's store: every
+   predicate's facts in insertion order. Two runs are considered
+   byte-identical iff these are equal fact by fact under [Value.equal],
+   which compares floats exactly and never identifies [Int 1] with
+   [Float 1.] or [Str "1"]. *)
 let dump_database db =
-  let buf = Buffer.create 4096 in
-  List.iter
-    (fun pred ->
-      V.Database.iter_pred db pred (fun args ->
-          Buffer.add_string buf pred;
-          Buffer.add_char buf '(';
-          Buffer.add_string buf (V.Database.args_key args);
-          Buffer.add_string buf ")\n"))
+  List.map
+    (fun pred -> (pred, V.Database.facts db pred))
     (V.Database.predicates db)
-  |> ignore;
-  Buffer.contents buf
+
+let database_dump = Alcotest.(list (pair string (list (array (module Value)))))
 
 (* The deterministic slice of the profiler: every integer counter, per
    rule in registration order (times are wall-clock and excluded). *)
@@ -240,7 +236,7 @@ let test_examples_byte_identical () =
       List.iter
         (fun d ->
           let par_db, par_prof = run_program ~domains:d source in
-          Alcotest.(check string)
+          Alcotest.check database_dump
             (Printf.sprintf "%s: database identical at %d domains" name d)
             seq_db par_db;
           Alcotest.(check string)
@@ -257,7 +253,7 @@ let test_synthetic_byte_identical () =
       List.iter
         (fun d ->
           let par_db, par_prof = run_program ~domains:d source in
-          Alcotest.(check string)
+          Alcotest.check database_dump
             (Printf.sprintf "%s: database identical at %d domains" name d)
             seq_db par_db;
           Alcotest.(check string)
@@ -373,13 +369,13 @@ let test_budget_interrupt_mid_run_is_batch_prefix () =
      never expose a torn batch: every predicate's fact list has to be a
      prefix of the same predicate's list in the completed sequential
      run, and the interrupt payload must agree with [stats]. *)
-  let facts_keys db pred =
-    V.Database.facts db pred |> List.map V.Database.args_key
+  let same_fact a b =
+    Array.length a = Array.length b && Array.for_all2 Value.equal a b
   in
   let rec is_prefix xs ys =
     match (xs, ys) with
     | [], _ -> true
-    | x :: xs', y :: ys' -> String.equal x y && is_prefix xs' ys'
+    | x :: xs', y :: ys' -> same_fact x y && is_prefix xs' ys'
     | _ :: _, [] -> false
   in
   let program = V.Parser.parse synthetic_tc in
@@ -408,7 +404,8 @@ let test_budget_interrupt_mid_run_is_batch_prefix () =
                 (Printf.sprintf
                    "%s facts are a prefix of the sequential run's" pred)
                 true
-                (is_prefix (facts_keys part_db pred) (facts_keys full_db pred)))
+                (is_prefix (V.Database.facts part_db pred)
+                   (V.Database.facts full_db pred)))
             (V.Database.predicates part_db)))
 
 (* --- joinstate bank -------------------------------------------------------- *)
@@ -470,7 +467,7 @@ let test_pool_reuse_across_engines () =
       in
       let first = run () in
       let second = run () in
-      Alcotest.(check string) "pool reusable across engines" first second;
+      Alcotest.check database_dump "pool reusable across engines" first second;
       Alcotest.(check bool)
         "engine shutdown leaves borrowed pool running" false
         (Task_pool.stopped pool))

@@ -161,16 +161,20 @@ let test_agg_sum () =
     (sorted_facts engine "total")
 
 let test_agg_contributor_dedup () =
-  (* The same contributor twice: the larger contribution supersedes. *)
+  (* The same contributor twice: the larger contribution supersedes.
+     Contributors equal only to 12 significant digits (group h) are two
+     contributors: both weights count. *)
   let engine =
     run_program
       {|
         score(g, x, 10). score(g, x, 25). score(g, y, 1).
+        score(h, 1.0, 10). score(h, 1.00000000000001, 20).
         total(G, S) :- score(G, I, W), S = msum(W, <I>).
       |}
   in
   Alcotest.(check (list (list (module Value))))
-    "dedup sum" [ [ str "g"; Value.Float 26.0 ] ]
+    "dedup sum"
+    [ [ str "g"; Value.Float 26.0 ]; [ str "h"; Value.Float 30.0 ] ]
     (sorted_facts engine "total")
 
 let test_agg_count () =
@@ -642,18 +646,60 @@ let test_database_direct () =
   Alcotest.(check int) "size" 3 (V.Database.pred_size db "p");
   Alcotest.(check (list int)) "lookup" [ 0 ]
     (V.Database.lookup db "p" ~pos:0 (str "a"));
-  Alcotest.(check int) "unknown pred" 0 (V.Database.pred_size db "zzz")
+  Alcotest.(check int) "unknown pred" 0 (V.Database.pred_size db "zzz");
+  (* Fact identity is [Value.equal]: values whose renderings coincide
+     (floats at 12 digits, separators inside strings) stay distinct. *)
+  List.iteri
+    (fun i group ->
+      let pred = Printf.sprintf "distinct%d" i in
+      List.iter
+        (fun v ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: %s is new" pred (Value.to_string v))
+            true
+            (V.Database.add db pred [| v |]))
+        group;
+      Alcotest.(check int) (pred ^ ": all kept") (List.length group)
+        (V.Database.pred_size db pred);
+      List.iter
+        (fun v ->
+          Alcotest.(check bool) (pred ^ ": mem") true
+            (V.Database.mem db pred [| v |]))
+        group)
+    [
+      [ Value.Float (0.1 +. 0.2); Value.Float 0.3 ];
+      [ Value.Float 1e-13; Value.Float 1.00000000000001e-13 ];
+      [ Value.pair (str "a, b") (str "c"); Value.pair (str "a") (str "b, c") ];
+      [ Value.coll [ str "a; b" ]; Value.coll [ str "a"; str "b" ] ];
+      [ int 1; Value.Float 1.; str "1" ];
+      [ str "#1"; Value.Null 1 ];
+    ];
+  (* ... and values [Value.equal] identifies are one fact. *)
+  let add pred v = V.Database.add db pred [| v |] in
+  Alcotest.(check bool) "NaN new" true (add "nan" (Value.Float Float.nan));
+  Alcotest.(check bool) "NaN twice" false
+    (add "nan" (Value.Float (-.Float.nan)));
+  Alcotest.(check bool) "0. new" true (add "zero" (Value.Float 0.));
+  Alcotest.(check (list int)) "lookup -0. before its add" [ 0 ]
+    (V.Database.lookup db "zero" ~pos:0 (Value.Float (-0.)));
+  Alcotest.(check bool) "-0. is 0." false (add "zero" (Value.Float (-0.)));
+  Alcotest.(check int) "one zero" 1 (V.Database.pred_size db "zero");
+  Alcotest.(check (list int)) "lookup 0." [ 0 ]
+    (V.Database.lookup db "zero" ~pos:0 (Value.Float 0.));
+  Alcotest.(check (list int)) "lookup -0." [ 0 ]
+    (V.Database.lookup db "zero" ~pos:0 (Value.Float (-0.)))
 
 let test_aggregate_state_unit () =
   let open V.Aggregate in
   let s = create Sum in
-  Alcotest.(check bool) "first" true (contribute s ~contributor:"a" (Value.Int 5));
+  Alcotest.(check bool) "first" true
+    (contribute s ~contributor:[| str "a" |] (Value.Int 5));
   Alcotest.(check bool) "same lower ignored" false
-    (contribute s ~contributor:"a" (Value.Int 3));
+    (contribute s ~contributor:[| str "a" |] (Value.Int 3));
   Alcotest.(check bool) "same higher supersedes" true
-    (contribute s ~contributor:"a" (Value.Int 9));
+    (contribute s ~contributor:[| str "a" |] (Value.Int 9));
   Alcotest.(check bool) "other contributor" true
-    (contribute s ~contributor:"b" (Value.Int 1));
+    (contribute s ~contributor:[| str "b" |] (Value.Int 1));
   (match current s with
   | Value.Float x -> Alcotest.(check (float 1e-9)) "sum" 10.0 x
   | v -> Alcotest.fail ("unexpected " ^ Value.to_string v));
@@ -663,10 +709,10 @@ let test_aggregate_union_null_supersedes () =
   let open V.Aggregate in
   let s = create Union in
   ignore
-    (contribute s ~contributor:"a"
+    (contribute s ~contributor:[| str "a" |]
        (Value.pair (Value.Str "sector") (Value.Str "Textiles")));
   ignore
-    (contribute s ~contributor:"a"
+    (contribute s ~contributor:[| str "a" |]
        (Value.pair (Value.Str "sector") (Value.Null 1)));
   match current s with
   | Value.Coll [ Value.Pair (_, v) ] ->
