@@ -14,15 +14,15 @@ let estimate ?(m = 0.95) oracle =
     let u =
       Array.init width (fun j ->
           (* u_j = P(agree | random pair) = sum of squared value shares. *)
-          let counts = Hashtbl.create 64 in
+          let counts = Value.Tbl.create 64 in
           for r = 0 to n - 1 do
-            let v = Value.to_string (Oracle.qi_values oracle r).(j) in
-            let c = try Hashtbl.find counts v with Not_found -> 0 in
-            Hashtbl.replace counts v (c + 1)
+            let v = (Oracle.qi_values oracle r).(j) in
+            let c = try Value.Tbl.find counts v with Not_found -> 0 in
+            Value.Tbl.replace counts v (c + 1)
           done;
           let total = float_of_int n in
           let sum_sq =
-            Hashtbl.fold
+            Value.Tbl.fold
               (fun _ c acc ->
                 let share = float_of_int c /. total in
                 acc +. (share *. share))

@@ -10,13 +10,12 @@ let project rel attrs =
   out
 
 let distinct rel =
-  let seen = Hashtbl.create 256 in
+  let seen = Value.Array_tbl.create 256 in
   Relation.filter
     (fun t ->
-      let k = Tuple.key t in
-      if Hashtbl.mem seen k then false
+      if Value.Array_tbl.mem seen t then false
       else begin
-        Hashtbl.add seen k ();
+        Value.Array_tbl.add seen t ();
         true
       end)
     rel
@@ -35,16 +34,35 @@ let sort_by rel cmp =
   Relation.of_tuples (Relation.schema rel) (Array.to_list arr)
 
 let group_indices rel ~cols =
-  let groups = Hashtbl.create 1024 in
+  let groups = Value.Array_tbl.create 1024 in
   Relation.iteri
     (fun i t ->
-      let k = Tuple.key (Tuple.project t cols) in
-      let members = try Hashtbl.find groups k with Not_found -> [] in
-      Hashtbl.replace groups k (i :: members))
+      let k = Tuple.project t cols in
+      let members = try Value.Array_tbl.find groups k with Not_found -> [] in
+      Value.Array_tbl.replace groups k (i :: members))
     rel;
   (* Store members ascending. *)
-  Hashtbl.iter (fun k members -> Hashtbl.replace groups k (List.rev members)) groups;
+  Value.Array_tbl.filter_map_inplace
+    (fun _ members -> Some (List.rev members))
+    groups;
   groups
+
+(* Hash the right side on its join columns, then probe with each left tuple:
+   [emit lt rt] for every match, right matches newest first. *)
+let hash_join ~left ~l_cols ~right ~r_cols emit =
+  let index = Value.Array_tbl.create 1024 in
+  Relation.iter
+    (fun t ->
+      let k = Tuple.project t r_cols in
+      let existing = try Value.Array_tbl.find index k with Not_found -> [] in
+      Value.Array_tbl.replace index k (t :: existing))
+    right;
+  Relation.iter
+    (fun lt ->
+      match Value.Array_tbl.find_opt index (Tuple.project lt l_cols) with
+      | None -> ()
+      | Some matches -> List.iter (emit lt) matches)
+    left
 
 let joined_schema ~left ~right ~right_only =
   let ls = Relation.schema left and rs = Relation.schema right in
@@ -72,24 +90,8 @@ let natural_join left right =
   let l_shared = Schema.indices_of ls shared in
   let r_shared = Schema.indices_of rs shared in
   let r_only = Schema.indices_of rs right_only in
-  (* Hash the right side on the shared-attribute key. *)
-  let index = Hashtbl.create 1024 in
-  Relation.iter
-    (fun t ->
-      let k = Tuple.key (Tuple.project t r_shared) in
-      let existing = try Hashtbl.find index k with Not_found -> [] in
-      Hashtbl.replace index k (t :: existing))
-    right;
-  Relation.iter
-    (fun lt ->
-      let k = Tuple.key (Tuple.project lt l_shared) in
-      match Hashtbl.find_opt index k with
-      | None -> ()
-      | Some matches ->
-        List.iter
-          (fun rt -> Relation.add out (Array.append lt (Tuple.project rt r_only)))
-          matches)
-    left;
+  hash_join ~left ~l_cols:l_shared ~right ~r_cols:r_shared (fun lt rt ->
+      Relation.add out (Array.append lt (Tuple.project rt r_only)));
   out
 
 let equi_join ~left ~right ~on =
@@ -108,21 +110,8 @@ let equi_join ~left ~right ~on =
       @ List.map rename (Array.to_list (Schema.attributes rs)))
   in
   let out = Relation.create schema' in
-  let index = Hashtbl.create 1024 in
-  Relation.iter
-    (fun t ->
-      let k = Tuple.key (Tuple.project t r_cols) in
-      let existing = try Hashtbl.find index k with Not_found -> [] in
-      Hashtbl.replace index k (t :: existing))
-    right;
-  Relation.iter
-    (fun lt ->
-      let k = Tuple.key (Tuple.project lt l_cols) in
-      match Hashtbl.find_opt index k with
-      | None -> ()
-      | Some matches ->
-        List.iter (fun rt -> Relation.add out (Array.append lt rt)) matches)
-    left;
+  hash_join ~left ~l_cols ~right ~r_cols (fun lt rt ->
+      Relation.add out (Array.append lt rt));
   out
 
 module Group_stats = struct
@@ -131,48 +120,83 @@ module Group_stats = struct
     weight_sum : float array;
   }
 
-  let weight_of rel weight i =
-    match weight with
-    | None -> 1.0
-    | Some w ->
-      (match Value.as_float (Tuple.get (Relation.get rel i) w) with
-      | Some x -> x
-      | None -> 1.0)
+  let weights rel weight =
+    Array.init (Relation.cardinal rel) (fun i ->
+        match weight with
+        | None -> 1.0
+        | Some w ->
+          (match Value.as_float (Tuple.get (Relation.get rel i) w) with
+          | Some x -> x
+          | None -> 1.0))
 
-  (* Exact (standard-semantics) grouping: one hash pass. *)
+  (* Exact grouping of the listed rows by [proj]: each row gets the size
+     and the weight sum (accumulated in list order) of its group. *)
+  let credit_exact_groups ~freq ~weight_sum ~proj ~w rows =
+    let n = List.length rows in
+    let ids = Value.Array_tbl.create (max 16 n) in
+    let size = Array.make n 0 and ws = Array.make n 0.0 in
+    let gid =
+      List.map
+        (fun i ->
+          let g =
+            match Value.Array_tbl.find_opt ids proj.(i) with
+            | Some g -> g
+            | None ->
+              let g = Value.Array_tbl.length ids in
+              Value.Array_tbl.add ids proj.(i) g;
+              g
+          in
+          size.(g) <- size.(g) + 1;
+          ws.(g) <- ws.(g) +. w.(i);
+          g)
+        rows
+    in
+    List.iter2
+      (fun i g ->
+        freq.(i) <- size.(g);
+        weight_sum.(i) <- ws.(g))
+      rows gid
+
+  let const_positions ~width mask =
+    let acc = ref [] in
+    for p = width - 1 downto 0 do
+      if mask land (1 lsl p) = 0 then acc := p :: !acc
+    done;
+    Array.of_list !acc
+
+  (* A constant cohort of step 2: the constant rows sharing one key, their
+     count and weight sum. *)
+  type cohort = { mutable rows : int list; mutable size : int; mutable ws : float }
+
+  (* A null-pattern class: the null-bearing rows that agree on their null
+     positions and on every constant. *)
+  type pattern_class = {
+    repr : Tuple.t;
+    mask : int;
+    mutable members : int list;
+    mutable class_size : int;
+    mutable class_ws : float;
+    mutable partners : int list;  (* matching classes, by number *)
+  }
+
   let compute_standard ~rel ~qi ~weight =
     let n = Relation.cardinal rel in
     let freq = Array.make n 0 in
     let weight_sum = Array.make n 0.0 in
-    let groups = Hashtbl.create (max 16 n) in
-    Relation.iteri
-      (fun i t ->
-        let k = Tuple.key (Tuple.project t qi) in
-        let members, ws =
-          try Hashtbl.find groups k with Not_found -> ([], 0.0)
-        in
-        Hashtbl.replace groups k (i :: members, ws +. weight_of rel weight i))
-      rel;
-    Hashtbl.iter
-      (fun _ (members, ws) ->
-        let size = List.length members in
-        List.iter
-          (fun i ->
-            freq.(i) <- size;
-            weight_sum.(i) <- ws)
-          members)
-      groups;
+    let proj = Array.init n (fun i -> Tuple.project (Relation.get rel i) qi) in
+    credit_exact_groups ~freq ~weight_sum ~proj ~w:(weights rel weight)
+      (List.init n Fun.id);
     { freq; weight_sum }
 
-  (* Maybe-match grouping: constants grouped exactly; null-bearing tuples
-     matched against per-mask indexes of the constant cohort and pairwise
-     against each other. *)
+  (* Maybe-match grouping: constants grouped exactly; null-pattern classes
+     matched against per-mask indexes of the constant tuples, and against
+     each other mask pair by mask pair. *)
   let compute_maybe ~rel ~qi ~weight =
     let n = Relation.cardinal rel in
     let freq = Array.make n 0 in
     let weight_sum = Array.make n 0.0 in
     let proj = Array.init n (fun i -> Tuple.project (Relation.get rel i) qi) in
-    let w = Array.init n (fun i -> weight_of rel weight i) in
+    let w = weights rel weight in
     let const_idx = ref [] and null_idx = ref [] in
     for i = n - 1 downto 0 do
       if Tuple.has_null proj.(i) then null_idx := i :: !null_idx
@@ -180,119 +204,145 @@ module Group_stats = struct
     done;
     let const_idx = !const_idx and null_idx = !null_idx in
     (* 1. Exact groups among all-constant tuples. *)
-    let groups = Hashtbl.create (max 16 n) in
-    List.iter
-      (fun i ->
-        let k = Tuple.key proj.(i) in
-        let members, ws = try Hashtbl.find groups k with Not_found -> ([], 0.0) in
-        Hashtbl.replace groups k (i :: members, ws +. w.(i)))
-      const_idx;
-    Hashtbl.iter
-      (fun _ (members, ws) ->
-        let size = List.length members in
-        List.iter
-          (fun i ->
-            freq.(i) <- size;
-            weight_sum.(i) <- ws)
-          members)
-      groups;
-    (* Null tuples start by matching themselves. *)
+    credit_exact_groups ~freq ~weight_sum ~proj ~w const_idx;
+    (* Null tuples start by matching themselves, and cluster into few
+       pattern classes (same null positions, same remaining constants —
+       null labels are irrelevant to =⊥), numbered by the row of their
+       first member and grouped by null mask. *)
+    let class_of = Value.Array_tbl.create 64 in
+    let classes = ref [] in
     List.iter
       (fun i ->
         freq.(i) <- 1;
-        weight_sum.(i) <- w.(i))
+        weight_sum.(i) <- w.(i);
+        let p = proj.(i) in
+        let k = Array.map (fun v -> if Value.is_null v then Value.Null 0 else v) p in
+        match Value.Array_tbl.find_opt class_of k with
+        | Some c ->
+          c.members <- i :: c.members;
+          c.class_size <- c.class_size + 1;
+          c.class_ws <- c.class_ws +. w.(i)
+        | None ->
+          let c =
+            {
+              repr = p;
+              mask = Tuple.null_mask p;
+              members = [ i ];
+              class_size = 1;
+              class_ws = w.(i);
+              partners = [];
+            }
+          in
+          Value.Array_tbl.add class_of k c;
+          classes := c :: !classes)
       null_idx;
-    (* 2. Null vs constant, via one index per distinct null mask: constant
-       tuples keyed by their values at the mask's constant positions. *)
-    let masks = Hashtbl.create 8 in
-    List.iter
-      (fun i ->
-        let m = Tuple.null_mask proj.(i) in
-        let members = try Hashtbl.find masks m with Not_found -> [] in
-        Hashtbl.replace masks m (i :: members))
-      null_idx;
-    let width = Array.length qi in
-    let const_positions_of_mask m =
-      let acc = ref [] in
-      for p = width - 1 downto 0 do
-        if m land (1 lsl p) = 0 then acc := p :: !acc
-      done;
-      Array.of_list !acc
+    let classes = Array.of_list (List.rev !classes) in
+    Array.iter (fun c -> c.members <- List.rev c.members) classes;
+    let by_mask = Hashtbl.create 8 in
+    for a = Array.length classes - 1 downto 0 do
+      let m = classes.(a).mask in
+      Hashtbl.replace by_mask m
+        (a :: (try Hashtbl.find by_mask m with Not_found -> []))
+    done;
+    let by_mask =
+      Array.of_list
+        (List.sort compare (Hashtbl.fold (fun m ids acc -> (m, ids) :: acc) by_mask []))
     in
-    Hashtbl.iter
-      (fun m members ->
-        let positions = const_positions_of_mask m in
-        let index = Hashtbl.create 1024 in
+    let width = Array.length qi in
+    (* 2. Null vs constant, via one index per null mask: constant tuples
+       keyed by their values at the mask's constant positions. *)
+    Array.iter
+      (fun (m, ids) ->
+        let positions = const_positions ~width m in
+        let index = Value.Array_tbl.create 1024 in
         List.iter
           (fun j ->
-            let k = Tuple.key (Tuple.project proj.(j) positions) in
-            let cohort, ws = try Hashtbl.find index k with Not_found -> ([], 0.0) in
-            Hashtbl.replace index k (j :: cohort, ws +. w.(j)))
+            let k = Tuple.project proj.(j) positions in
+            match Value.Array_tbl.find_opt index k with
+            | Some c ->
+              c.rows <- j :: c.rows;
+              c.size <- c.size + 1;
+              c.ws <- c.ws +. w.(j)
+            | None ->
+              Value.Array_tbl.add index k { rows = [ j ]; size = 1; ws = w.(j) })
           const_idx;
         List.iter
-          (fun i ->
-            let k = Tuple.key (Tuple.project proj.(i) positions) in
-            match Hashtbl.find_opt index k with
+          (fun a ->
+            let cls = classes.(a) in
+            match
+              Value.Array_tbl.find_opt index (Tuple.project cls.repr positions)
+            with
             | None -> ()
-            | Some (cohort, ws) ->
-              freq.(i) <- freq.(i) + List.length cohort;
-              weight_sum.(i) <- weight_sum.(i) +. ws;
+            | Some c ->
+              List.iter
+                (fun i ->
+                  freq.(i) <- freq.(i) + c.size;
+                  weight_sum.(i) <- weight_sum.(i) +. c.ws)
+                cls.members;
               List.iter
                 (fun j ->
-                  freq.(j) <- freq.(j) + 1;
-                  weight_sum.(j) <- weight_sum.(j) +. w.(i))
-                cohort)
-          members)
-      masks;
-    (* 3. Null vs null. Suppressed tuples cluster into few patterns (same
-       null positions, same remaining constants — null labels are
-       irrelevant to =⊥), so we compare pattern classes, not tuples:
-       O(c²) class tests plus O(m) bookkeeping instead of O(m²). *)
-    let class_key p =
-      let normalized =
-        Array.map (fun v -> if Value.is_null v then Value.Null 0 else v) p
-      in
-      Tuple.key normalized
-    in
-    let classes = Hashtbl.create 64 in
-    List.iter
-      (fun i ->
-        let k = class_key proj.(i) in
-        match Hashtbl.find_opt classes k with
-        | Some (repr, members, ws) ->
-          Hashtbl.replace classes k (repr, i :: members, ws +. w.(i))
-        | None -> Hashtbl.add classes k (proj.(i), [ i ], w.(i)))
-      null_idx;
-    let class_list =
-      Hashtbl.fold (fun _ cls acc -> cls :: acc) classes []
-    in
-    let class_arr = Array.of_list class_list in
-    let c = Array.length class_arr in
-    let credit members ~count ~weight =
-      List.iter
-        (fun i ->
-          freq.(i) <- freq.(i) + count;
-          weight_sum.(i) <- weight_sum.(i) +. weight)
-        members
-    in
-    for a = 0 to c - 1 do
-      let repr_a, members_a, ws_a = class_arr.(a) in
-      let size_a = List.length members_a in
-      (* Within a class every member matches every other member. *)
-      if size_a > 1 then
+                  freq.(j) <- freq.(j) + cls.class_size;
+                  List.iter
+                    (fun i -> weight_sum.(j) <- weight_sum.(j) +. w.(i))
+                    cls.members)
+                c.rows)
+          ids)
+      by_mask;
+    (* 3. Null vs null. Two distinct classes with the same mask differ on a
+       position constant in both, so they never match; for each pair of
+       distinct masks, the classes of one are indexed on the positions
+       constant in both and the classes of the other looked up, so the
+       cost is O(masks²·c) lookups rather than a test of every class pair. *)
+    Array.iteri
+      (fun x (ma, ids_a) ->
+        for y = x + 1 to Array.length by_mask - 1 do
+          let mb, ids_b = by_mask.(y) in
+          let shared = const_positions ~width (ma lor mb) in
+          let index = Value.Array_tbl.create 64 in
+          List.iter
+            (fun b ->
+              let k = Tuple.project classes.(b).repr shared in
+              Value.Array_tbl.replace index k
+                (b :: (try Value.Array_tbl.find index k with Not_found -> [])))
+            ids_b;
+          List.iter
+            (fun a ->
+              match
+                Value.Array_tbl.find_opt index (Tuple.project classes.(a).repr shared)
+              with
+              | None -> ()
+              | Some bs ->
+                List.iter
+                  (fun b ->
+                    classes.(a).partners <- b :: classes.(a).partners;
+                    classes.(b).partners <- a :: classes.(b).partners)
+                  bs)
+            ids_a
+        done)
+      by_mask;
+    (* Each member collects its class's matches in ascending class order,
+       its own class (every other member) in its place. *)
+    Array.iteri
+      (fun a c ->
+        let order = List.sort Int.compare (a :: c.partners) in
         List.iter
           (fun i ->
-            freq.(i) <- freq.(i) + size_a - 1;
-            weight_sum.(i) <- weight_sum.(i) +. ws_a -. w.(i))
-          members_a;
-      for b = a + 1 to c - 1 do
-        let repr_b, members_b, ws_b = class_arr.(b) in
-        if Null_semantics.equal_tuple Maybe_match repr_a repr_b then begin
-          credit members_a ~count:(List.length members_b) ~weight:ws_b;
-          credit members_b ~count:size_a ~weight:ws_a
-        end
-      done
-    done;
+            List.iter
+              (fun b ->
+                if b = a then begin
+                  if c.class_size > 1 then begin
+                    freq.(i) <- freq.(i) + c.class_size - 1;
+                    weight_sum.(i) <- weight_sum.(i) +. c.class_ws -. w.(i)
+                  end
+                end
+                else begin
+                  let cb = classes.(b) in
+                  freq.(i) <- freq.(i) + cb.class_size;
+                  weight_sum.(i) <- weight_sum.(i) +. cb.class_ws
+                end)
+              order)
+          c.members)
+      classes;
     { freq; weight_sum }
 
   let compute ~semantics ~rel ~qi ?weight () =

@@ -36,9 +36,10 @@ val sort_by :
   Relation.t -> (Tuple.t -> Tuple.t -> int) -> Relation.t
 
 val group_indices :
-  Relation.t -> cols:int array -> (string, int list) Hashtbl.t
-(** Standard-semantics grouping: canonical projected key → member positions
-    (ascending). *)
+  Relation.t -> cols:int array -> int list Vadasa_base.Value.Array_tbl.t
+(** Standard-semantics grouping: projected values → member positions
+    (ascending). Keys compare with {!Vadasa_base.Value.equal}, so [Int 1]
+    and [Str "1"] are different groups. *)
 
 (** Per-tuple statistics of the quasi-identifier combination each tuple
     belongs to. *)
@@ -70,8 +71,23 @@ module Group_stats : sig
       where one suppression lifts the frequency of tuple 1 from 1 to 5 and
       of tuples 2–5 from 2 to 3.
 
-      Cost: O(n) for all-constant data; plus O(m·n̄ + m²) where m is the
-      number of null-bearing tuples and n̄ the size of the matched constant
-      cohorts — m stays small because suppression only touches risky
-      tuples. *)
+      Values are compared structurally ({!Vadasa_base.Value.equal}):
+      values of different types never fall into one group, and floats
+      only when [Float.compare] says they are equal ([0.] and [-0.] are
+      one value, as are all NaNs). A labelled
+      null counts as a wildcard only as a whole cell; a null nested inside
+      a [Pair] or [Coll] is compared exactly, like any other component.
+      (Nothing in this repository builds such a value: CSV decoding,
+      suppression and recoding never do.)
+
+      Cost, with n tuples of which m carry a null, grouped into c
+      null-pattern classes (same null positions, same constants) over k
+      distinct null masks: O(n) for the all-constant tuples; O(k·n + m·n̄)
+      for null vs constant, n̄ the size of the matched constant cohorts;
+      O(k²·c + m·p̄) for null vs null, p̄ the number of classes a tuple's
+      class matches. m stays small because suppression only touches risky
+      tuples, and k < 2{^ |qi|}. No result depends on hash iteration
+      order: every weight sum accumulates in an order fixed by row
+      numbers, null masks and class numbers (a class is numbered by the
+      row of its first member). *)
 end

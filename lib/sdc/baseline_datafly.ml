@@ -35,9 +35,9 @@ let small_combination_tuples md ~k =
 let distinct_count md attr =
   let rel = Microdata.relation md in
   let pos = Relational.Schema.index_of (Microdata.schema md) attr in
-  let seen = Hashtbl.create 64 in
-  Relation.iter (fun t -> Hashtbl.replace seen (Value.to_string t.(pos)) ()) rel;
-  Hashtbl.length seen
+  let seen = Value.Tbl.create 64 in
+  Relation.iter (fun t -> Value.Tbl.replace seen t.(pos) ()) rel;
+  Value.Tbl.length seen
 
 let run ?(k = 2) ?(max_suppression = 0.01) ~hierarchy input =
   let md = Microdata.copy input in

@@ -18,9 +18,11 @@ let order_tuples order md ~risk indices =
 type qi_choice = Most_risky_qi | Most_selective_qi | First_qi
 
 type cache = {
-  (* leave_one_out.(j): frequency of each tuple's projection onto the
-     quasi-identifiers minus attribute j *)
-  leave_one_out : (string, int) Hashtbl.t array;
+  (* keep.(j): the quasi-identifier positions other than j *)
+  keep : int array array;
+  (* leave_one_out.(j): frequency of each tuple's projection onto
+     keep.(j) *)
+  leave_one_out : int ref Value.Array_tbl.t array;
   distinct_counts : int array;  (* per quasi-identifier *)
   qi_attrs : string array;
   projections : Tuple.t array;
@@ -32,30 +34,35 @@ let build_cache md =
   let m = Array.length qi in
   let n = Relation.cardinal rel in
   let projections = Array.init n (fun i -> Tuple.project (Relation.get rel i) qi) in
-  let leave_one_out =
+  let keep =
     Array.init m (fun j ->
-        let keep =
-          Array.of_list
-            (List.filter (fun p -> p <> j) (List.init m (fun p -> p)))
-        in
-        let table = Hashtbl.create (max 16 n) in
+        Array.of_list (List.filter (fun p -> p <> j) (List.init m Fun.id)))
+  in
+  let leave_one_out =
+    Array.map
+      (fun keep ->
+        let table = Value.Array_tbl.create (max 16 n) in
         Array.iter
           (fun proj ->
-            let key = Tuple.key (Tuple.project proj keep) in
-            let c = try Hashtbl.find table key with Not_found -> 0 in
-            Hashtbl.replace table key (c + 1))
+            let key = Tuple.project proj keep in
+            match Value.Array_tbl.find_opt table key with
+            | Some c -> incr c
+            | None -> Value.Array_tbl.add table key (ref 1))
           projections;
         table)
+      keep
   in
   let distinct_counts =
     Array.init m (fun j ->
-        let seen = Hashtbl.create 64 in
+        let seen = Value.Tbl.create 64 in
         Array.iter
-          (fun proj -> Hashtbl.replace seen (Value.to_string proj.(j)) ())
+          (fun proj ->
+            if not (Value.Tbl.mem seen proj.(j)) then Value.Tbl.add seen proj.(j) ())
           projections;
-        Hashtbl.length seen)
+        Value.Tbl.length seen)
   in
   {
+    keep;
     leave_one_out;
     distinct_counts;
     qi_attrs = Array.of_list (Microdata.quasi_identifiers md);
@@ -71,12 +78,10 @@ let qi_index cache attr =
   go 0
 
 let freq_without cache ~tuple j =
-  let m = Array.length cache.qi_attrs in
-  let keep =
-    Array.of_list (List.filter (fun p -> p <> j) (List.init m (fun p -> p)))
-  in
-  let key = Tuple.key (Tuple.project cache.projections.(tuple) keep) in
-  try Hashtbl.find cache.leave_one_out.(j) key with Not_found -> 0
+  let key = Tuple.project cache.projections.(tuple) cache.keep.(j) in
+  match Value.Array_tbl.find_opt cache.leave_one_out.(j) key with
+  | Some c -> !c
+  | None -> 0
 
 let choose_qi choice cache md ~tuple ~candidates =
   ignore md;

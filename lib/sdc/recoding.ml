@@ -46,13 +46,13 @@ let recode_tuple hierarchy md ~tuple ~attr =
 let recode_attr_fully hierarchy md ~attr =
   let pos = Schema.index_of (Microdata.schema md) attr in
   let rel = Microdata.relation md in
-  let distinct = Hashtbl.create 32 in
+  let distinct = Value.Tbl.create 32 in
   Relation.iter
     (fun t ->
       let v = Tuple.get t pos in
-      if not (Value.is_null v) then Hashtbl.replace distinct (Value.to_string v) v)
+      if not (Value.is_null v) then Value.Tbl.replace distinct v v)
     rel;
-  Hashtbl.fold
+  Value.Tbl.fold
     (fun _ v acc ->
       match recode_value hierarchy md ~attr v with
       | Some step -> step :: acc

@@ -29,12 +29,13 @@ let mask_of positions =
 
 (* Frequency table of the projections onto [positions] of all tuples. *)
 let freq_table projections positions =
-  let table = Hashtbl.create (Array.length projections) in
+  let table = Value.Array_tbl.create (Array.length projections) in
   Array.iter
     (fun proj ->
-      let key = Tuple.key (Tuple.project proj positions) in
-      let current = try Hashtbl.find table key with Not_found -> 0 in
-      Hashtbl.replace table key (current + 1))
+      let key = Tuple.project proj positions in
+      match Value.Array_tbl.find_opt table key with
+      | Some count -> incr count
+      | None -> Value.Array_tbl.add table key (ref 1))
     projections;
   table
 
@@ -70,8 +71,8 @@ let find_msus ?(max_size = 3) md =
     if effective = 0 then n
     else
       let positions, table = Hashtbl.find tables effective in
-      let key = Tuple.key (Tuple.project projections.(i) positions) in
-      (try Hashtbl.find table key with Not_found -> 0)
+      let key = Tuple.project projections.(i) positions in
+      (match Value.Array_tbl.find_opt table key with Some c -> !c | None -> 0)
   in
   Array.init n (fun i ->
       let found = ref [] in

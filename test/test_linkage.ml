@@ -57,6 +57,40 @@ let test_blocking_null_wildcard () =
   Alcotest.(check int) "all-null matches everything" (L.Oracle.cardinal oracle)
     (L.Blocking.block_size blocking (S.Microdata.qi_projection md 0))
 
+let test_blocking_type_confusion () =
+  (* [Int 1] and [Str "1"] render alike but are different values: a target
+     holding one must not block the other, with or without a wildcard. *)
+  let rel =
+    R.Relation.of_tuples
+      (R.Schema.of_names ~name:"t" [ "a"; "b"; "w" ])
+      [
+        [| Value.Int 1; Value.Str "x"; Value.Float 1.0 |];
+        [| Value.Str "1"; Value.Str "x"; Value.Float 1.0 |];
+      ]
+  in
+  let md =
+    S.Microdata.make rel
+      [
+        ("a", S.Microdata.Quasi_identifier);
+        ("b", S.Microdata.Quasi_identifier);
+        ("w", S.Microdata.Weight);
+      ]
+  in
+  let oracle = oracle_of md in
+  Alcotest.(check int) "no decoys" 2 (L.Oracle.cardinal oracle);
+  let blocking = L.Blocking.build oracle in
+  let identities target =
+    List.map (L.Oracle.identity_of_row oracle) (L.Blocking.candidates blocking target)
+  in
+  List.iteri
+    (fun i a ->
+      let only = [ L.Oracle.true_identity oracle i ] in
+      Alcotest.(check (list string)) "exact" only
+        (identities [| a; Value.Str "x" |]);
+      Alcotest.(check (list string)) "with a wildcard" only
+        (identities [| a; Value.Null 1 |]))
+    [ Value.Int 1; Value.Str "1" ]
+
 let test_matching_score () =
   let a = [| Value.Str "x"; Value.Str "y"; Value.Null 1 |] in
   let b = [| Value.Str "x"; Value.Str "z"; Value.Str "w" |] in
@@ -221,6 +255,7 @@ let () =
         [
           Alcotest.test_case "exact" `Quick test_blocking_exact;
           Alcotest.test_case "null wildcard" `Quick test_blocking_null_wildcard;
+          Alcotest.test_case "types kept apart" `Quick test_blocking_type_confusion;
         ] );
       ("matching", [ Alcotest.test_case "score" `Quick test_matching_score ]);
       ( "fellegi-sunter",

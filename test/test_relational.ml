@@ -37,9 +37,21 @@ let test_tuple_ops () =
   Alcotest.check value "projected" (Value.Null 2) (R.Tuple.get p 0)
 
 let test_tuple_key_injective () =
-  let a = R.Tuple.of_list [ Value.Str "ab"; Value.Str "c" ] in
-  let b = R.Tuple.of_list [ Value.Str "a"; Value.Str "bc" ] in
-  Alcotest.(check bool) "keys differ" false (String.equal (R.Tuple.key a) (R.Tuple.key b))
+  (* Tuples are grouped as [Value.Array_tbl] keys: tuples whose renderings
+     concatenate or coincide stay distinct keys. *)
+  let distinct a b =
+    let tbl = Value.Array_tbl.create 4 in
+    Value.Array_tbl.replace tbl (R.Tuple.of_list a) ();
+    Value.Array_tbl.replace tbl (R.Tuple.of_list b) ();
+    (not (R.Tuple.equal (R.Tuple.of_list a) (R.Tuple.of_list b)))
+    && Value.Array_tbl.length tbl = 2
+  in
+  Alcotest.(check bool) "concatenations differ" true
+    (distinct [ Value.Str "ab"; Value.Str "c" ] [ Value.Str "a"; Value.Str "bc" ]);
+  Alcotest.(check bool) "int vs string" true
+    (distinct [ Value.Int 1 ] [ Value.Str "1" ]);
+  Alcotest.(check bool) "floats past the 12th digit" true
+    (distinct [ Value.Float 0.1 ] [ Value.Float 0.1000000000001 ])
 
 let test_relation_mutation () =
   let rel = mk_rel [ "a" ] [ [ "1" ]; [ "2" ] ] in
@@ -171,6 +183,55 @@ let test_null_semantics_tuple_equal () =
   Alcotest.(check bool) "standard" false
     (R.Null_semantics.equal_tuple R.Null_semantics.Standard a b)
 
+(* Values that render alike but differ in type or in a low float digit:
+   each must form its own group. *)
+let confusable_rel () =
+  R.Relation.of_tuples
+    (R.Schema.of_names ~name:"t" [ "a"; "b" ])
+    [
+      [| Value.Int 1; Value.Str "x" |];
+      [| Value.Str "1"; Value.Str "x" |];
+      [| Value.Float 0.1; Value.Str "x" |];
+      [| Value.Float 0.1000000000001; Value.Str "x" |];
+      [| Value.Int 1; Value.Null 1 |];
+      [| Value.Str "1"; Value.Null 2 |];
+    ]
+
+let test_group_stats_type_confusion () =
+  let rel = confusable_rel () in
+  let freq semantics =
+    (R.Algebra.Group_stats.compute ~semantics ~rel ~qi:[| 0; 1 |] ())
+      .R.Algebra.Group_stats.freq
+  in
+  Alcotest.(check (array int)) "standard" [| 1; 1; 1; 1; 1; 1 |]
+    (freq R.Null_semantics.Standard);
+  (* (1,⊥) matches only (1,x); ("1",⊥) only ("1",x). *)
+  Alcotest.(check (array int)) "maybe-match" [| 2; 2; 1; 1; 2; 2 |]
+    (freq R.Null_semantics.Maybe_match)
+
+let test_distinct_type_confusion () =
+  let rel = R.Algebra.project (confusable_rel ()) [ "a" ] in
+  Alcotest.(check int) "four distinct values" 4
+    (R.Relation.cardinal (R.Algebra.distinct rel))
+
+let test_group_stats_nested_null_exact () =
+  (* A null inside a pair is no wildcard: the pair compares exactly. *)
+  let rel =
+    R.Relation.of_tuples
+      (R.Schema.of_names ~name:"t" [ "a"; "b" ])
+      [
+        [| Value.Pair (Value.Null 1, Value.Str "x"); Value.Str "y" |];
+        [| Value.Pair (Value.Str "z", Value.Str "x"); Value.Str "y" |];
+        [| Value.Pair (Value.Str "z", Value.Str "x"); Value.Null 2 |];
+      ]
+  in
+  let stats =
+    R.Algebra.Group_stats.compute ~semantics:R.Null_semantics.Maybe_match ~rel
+      ~qi:[| 0; 1 |] ()
+  in
+  Alcotest.(check (array int)) "exact pairs" [| 1; 2; 2 |]
+    stats.R.Algebra.Group_stats.freq
+
 (* --- CSV ----------------------------------------------------------------- *)
 
 let test_csv_roundtrip () =
@@ -228,34 +289,92 @@ let prop_maybe_freq_geq_standard =
       Array.for_all2 (fun m s -> m >= s)
         mm.R.Algebra.Group_stats.freq std.R.Algebra.Group_stats.freq)
 
+(* Rows of 3-4 quasi-identifier cells — [Int]s and [Str]s that render
+   alike, labelled nulls under several labels — plus an integer weight, so
+   every weight sum is exact whatever the order of addition. *)
+let gen_weighted_rows =
+  QCheck2.Gen.(
+    let cell =
+      frequency
+        [
+          (3, map (fun i -> Value.Int i) (int_bound 2));
+          (3, map (fun i -> Value.Str (string_of_int i)) (int_bound 2));
+          (2, map (fun l -> Value.Null l) (int_range 1 3));
+        ]
+    in
+    int_range 3 4 >>= fun width ->
+    list_size (int_range 1 40) (pair (array_size (return width) cell) (int_range 1 5)))
+
+let print_weighted_rows rows =
+  String.concat "; "
+    (List.map (fun (t, w) -> Printf.sprintf "%s*%d" (R.Tuple.to_string t) w) rows)
+
+let weighted_rel rows =
+  let width = match rows with (t, _) :: _ -> Array.length t | [] -> 0 in
+  let rel =
+    R.Relation.of_tuples
+      (R.Schema.of_names ~name:"t"
+         (List.init width (Printf.sprintf "q%d") @ [ "w" ]))
+      (List.map (fun (t, w) -> Array.append t [| Value.Int w |]) rows)
+  in
+  (rel, Array.init width Fun.id, width)
+
 let prop_maybe_freq_matches_naive =
   QCheck2.Test.make
-    ~name:"maybe-match group stats equal the O(n²) definition" ~count:100
-    gen_small_rel
+    ~name:"maybe-match group stats equal the O(n²) definition" ~count:200
+    ~print:print_weighted_rows gen_weighted_rows
     (fun rows ->
-      let tuples = List.map (fun (a, b) -> [| a; b |]) rows in
-      let rel =
-        R.Relation.of_tuples (R.Schema.of_names ~name:"t" [ "a"; "b" ]) tuples
-      in
-      let qi = [| 0; 1 |] in
+      let rel, qi, width = weighted_rel rows in
       let stats =
-        R.Algebra.Group_stats.compute ~semantics:R.Null_semantics.Maybe_match ~rel ~qi ()
+        R.Algebra.Group_stats.compute ~semantics:R.Null_semantics.Maybe_match ~rel
+          ~qi ~weight:width ()
       in
-      let arr = Array.of_list tuples in
+      let arr = Array.of_list rows in
       let ok = ref true in
       Array.iteri
-        (fun i t ->
-          let expected =
-            Array.fold_left
-              (fun acc u ->
-                if R.Null_semantics.equal_tuple R.Null_semantics.Maybe_match t u
-                then acc + 1
-                else acc)
-              0 arr
-          in
-          if stats.R.Algebra.Group_stats.freq.(i) <> expected then ok := false)
+        (fun i (t, _) ->
+          let freq = ref 0 and ws = ref 0.0 in
+          Array.iter
+            (fun (u, w) ->
+              if R.Null_semantics.equal_tuple R.Null_semantics.Maybe_match t u
+              then begin
+                incr freq;
+                ws := !ws +. float_of_int w
+              end)
+            arr;
+          if stats.R.Algebra.Group_stats.freq.(i) <> !freq
+             || stats.R.Algebra.Group_stats.weight_sum.(i) <> !ws
+          then ok := false)
         arr;
       !ok)
+
+let prop_group_stats_permutation_invariant =
+  QCheck2.Test.make
+    ~name:"group stats follow their rows under any row permutation" ~count:200
+    ~print:(fun (rows, perm) ->
+      print_weighted_rows rows ^ " | "
+      ^ String.concat "," (List.map string_of_int perm))
+    QCheck2.Gen.(
+      gen_weighted_rows >>= fun rows ->
+      map (fun perm -> (rows, perm)) (shuffle_l (List.init (List.length rows) Fun.id)))
+    (fun (rows, perm) ->
+      let arr = Array.of_list rows in
+      let rel, qi, width = weighted_rel rows in
+      let rel', _, _ = weighted_rel (List.map (fun k -> arr.(k)) perm) in
+      List.for_all
+        (fun semantics ->
+          let stats rel =
+            R.Algebra.Group_stats.compute ~semantics ~rel ~qi ~weight:width ()
+          in
+          let s = stats rel and s' = stats rel' in
+          List.for_all Fun.id
+            (List.mapi
+               (fun k src ->
+                 s'.R.Algebra.Group_stats.freq.(k) = s.R.Algebra.Group_stats.freq.(src)
+                 && s'.R.Algebra.Group_stats.weight_sum.(k)
+                    = s.R.Algebra.Group_stats.weight_sum.(src))
+               perm))
+        [ R.Null_semantics.Standard; R.Null_semantics.Maybe_match ])
 
 let prop_csv_roundtrip =
   QCheck2.Test.make ~name:"csv round-trips arbitrary string cells" ~count:100
@@ -292,13 +411,14 @@ let test_union_arity_mismatch () =
 let test_group_indices () =
   let rel = mk_rel [ "a"; "b" ] [ [ "x"; "1" ]; [ "y"; "2" ]; [ "x"; "3" ] ] in
   let groups = R.Algebra.group_indices rel ~cols:[| 0 |] in
-  Alcotest.(check int) "two groups" 2 (Hashtbl.length groups);
+  Alcotest.(check int) "two groups" 2 (Value.Array_tbl.length groups);
   let sizes =
-    List.sort compare (Hashtbl.fold (fun _ l acc -> List.length l :: acc) groups [])
+    List.sort compare
+      (Value.Array_tbl.fold (fun _ l acc -> List.length l :: acc) groups [])
   in
   Alcotest.(check (list int)) "sizes" [ 1; 2 ] sizes;
   (* Members are stored ascending. *)
-  Hashtbl.iter
+  Value.Array_tbl.iter
     (fun _ members ->
       Alcotest.(check (list int)) "ascending" (List.sort compare members) members)
     groups
@@ -370,6 +490,8 @@ let () =
           Alcotest.test_case "natural join" `Quick test_natural_join;
           Alcotest.test_case "equi join" `Quick test_equi_join;
           Alcotest.test_case "union and sort" `Quick test_union_sort;
+          Alcotest.test_case "distinct keeps types apart" `Quick
+            test_distinct_type_confusion;
         ] );
       ( "group stats",
         [
@@ -382,6 +504,10 @@ let () =
           Alcotest.test_case "null vs null" `Quick test_group_stats_null_vs_null;
           Alcotest.test_case "tuple equality semantics" `Quick
             test_null_semantics_tuple_equal;
+          Alcotest.test_case "type-confused values stay apart" `Quick
+            test_group_stats_type_confusion;
+          Alcotest.test_case "nested nulls compare exactly" `Quick
+            test_group_stats_nested_null_exact;
         ] );
       ( "csv",
         [
@@ -407,6 +533,7 @@ let () =
           [
             prop_maybe_freq_geq_standard;
             prop_maybe_freq_matches_naive;
+            prop_group_stats_permutation_invariant;
             prop_csv_roundtrip;
           ] );
     ]

@@ -1189,6 +1189,101 @@ let prop_control_closure_engine_native =
       in
       S.Business.control_closure g = S.Business.control_closure_via_engine g)
 
+(* --- structural keys ----------------------------------------------------- *)
+
+(* Column [a] holds values that render alike but differ in type or in a low
+   float digit: [Int 1]/[Str "1"] and [0.1]/[0.1000000000001]. Each is its
+   own value to every grouping table. *)
+let confusable_md () =
+  let rel =
+    R.Relation.of_tuples
+      (R.Schema.of_names ~name:"t" [ "a"; "b" ])
+      [
+        [| Value.Int 1; Value.Str "x" |];
+        [| Value.Str "1"; Value.Str "y" |];
+        [| Value.Float 0.1; Value.Str "z" |];
+        [| Value.Float 0.1000000000001; Value.Str "z" |];
+      ]
+  in
+  S.Microdata.make rel
+    [ ("a", S.Microdata.Quasi_identifier); ("b", S.Microdata.Quasi_identifier) ]
+
+let test_suda_type_confusion () =
+  let msus = S.Risk_suda.find_msus ~max_size:2 (confusable_md ()) in
+  (* Every value of [a] is sample-unique on its own. *)
+  Array.iteri
+    (fun i m ->
+      Alcotest.(check (option int))
+        (Printf.sprintf "tuple %d smallest MSU" i)
+        (Some 1) m.S.Risk_suda.min_size)
+    msus;
+  Alcotest.(check (list (array int))) "0.1 apart from 0.1000000000001"
+    [ [| 0 |] ] msus.(3).S.Risk_suda.msus
+
+let test_heuristics_distinct_type_confusion () =
+  let md = confusable_md () in
+  let cache = S.Heuristics.build_cache md in
+  (* [a] has 4 distinct values, [b] 3: the most selective is [a]. *)
+  Alcotest.(check (option string)) "most selective" (Some "a")
+    (S.Heuristics.choose_qi S.Heuristics.Most_selective_qi cache md ~tuple:0
+       ~candidates:[ "b"; "a" ])
+
+let test_info_loss_type_confusion () =
+  let md = confusable_md () in
+  let flat =
+    S.Microdata.with_relation md
+      (R.Relation.of_tuples (S.Microdata.schema md)
+         (List.init 4 (fun _ -> [| Value.Int 1; Value.Str "x" |])))
+  in
+  Alcotest.(check (float 1e-12)) "4 combinations collapse to 1" 0.25
+    (S.Info_loss.distinct_combination_ratio md flat)
+
+(* The cycle's release on a generated very-unbalanced dataset carries many
+   null patterns; its maybe-match statistics must equal the pairwise
+   definition. Generator weights are integers, so the sums are exact. *)
+let test_cycle_release_stats_match_pairwise () =
+  let md = D.Suite.load ~scale:0.08 "R25A4V" in
+  let config =
+    {
+      S.Cycle.default_config with
+      S.Cycle.measure = S.Risk.K_anonymity { k = 3 };
+      method_ = S.Cycle.Local_suppression;
+      semantics = R.Null_semantics.Maybe_match;
+    }
+  in
+  let outcome = S.Cycle.run ~config md in
+  let released = outcome.S.Cycle.anonymized in
+  let rel = S.Microdata.relation released in
+  let qi = S.Microdata.qi_positions released in
+  let n = R.Relation.cardinal rel in
+  Alcotest.(check bool) "about 2k rows" true (n >= 1900);
+  let proj = Array.init n (fun i -> S.Microdata.qi_projection released i) in
+  let masks = Hashtbl.create 16 in
+  Array.iter
+    (fun p -> if R.Tuple.has_null p then Hashtbl.replace masks (R.Tuple.null_mask p) ())
+    proj;
+  Alcotest.(check bool) "several null masks" true (Hashtbl.length masks >= 3);
+  let stats =
+    R.Algebra.Group_stats.compute ~semantics:R.Null_semantics.Maybe_match ~rel
+      ~qi ?weight:(S.Microdata.weight_position released) ()
+  in
+  for i = 0 to n - 1 do
+    let freq = ref 0 and ws = ref 0.0 in
+    for j = 0 to n - 1 do
+      if R.Null_semantics.equal_tuple R.Null_semantics.Maybe_match proj.(i) proj.(j)
+      then begin
+        incr freq;
+        ws := !ws +. S.Microdata.weight_of released j
+      end
+    done;
+    if stats.R.Algebra.Group_stats.freq.(i) <> !freq
+       || stats.R.Algebra.Group_stats.weight_sum.(i) <> !ws
+    then
+      Alcotest.failf "tuple %d: freq %d / weight sum %g, pairwise %d / %g" i
+        stats.R.Algebra.Group_stats.freq.(i)
+        stats.R.Algebra.Group_stats.weight_sum.(i) !freq !ws
+  done
+
 let () =
   let qcheck = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "sdc"
@@ -1259,6 +1354,16 @@ let () =
           Alcotest.test_case "re-identification measure" `Quick
             test_cycle_reidentification_measure;
           Alcotest.test_case "per-round limit" `Quick test_cycle_per_round_limit;
+          Alcotest.test_case "2k-row release matches pairwise stats" `Quick
+            test_cycle_release_stats_match_pairwise;
+        ] );
+      ( "structural keys",
+        [
+          Alcotest.test_case "SUDA keeps types apart" `Quick test_suda_type_confusion;
+          Alcotest.test_case "distinct counts keep types apart" `Quick
+            test_heuristics_distinct_type_confusion;
+          Alcotest.test_case "combinations keep types apart" `Quick
+            test_info_loss_type_confusion;
         ] );
       ( "audit",
         [
