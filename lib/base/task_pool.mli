@@ -48,9 +48,9 @@ val effective : requested:int -> int
 (** [min requested (recommended ())], floored at 1 — the width a
     consumer should size a pool to when [requested] comes from
     configuration rather than measurement. The engine applies this cap
-    by default ([Engine.create ~cap_domains]); callers that want to
-    oversubscribe deliberately (scheduler tests, fairness experiments)
-    can bypass it by building the pool themselves. *)
+    to [Engine.create ~domains]; callers that want to oversubscribe
+    deliberately (scheduler tests, fairness experiments) bypass it by
+    building the pool themselves and passing it as [~pool]. *)
 
 val run_all : t -> (unit -> 'a) array -> ('a, exn) result array
 (** Execute every closure, returning per-task results in input order.

@@ -43,8 +43,8 @@ val add : t -> ?prov:provenance -> string -> Vadasa_base.Value.t array -> bool
 val mem : t -> string -> Vadasa_base.Value.t array -> bool
 (** Membership under fact identity (labelled nulls compare by label).
     Read-side: safe from any domain on a quiescent store — the parallel
-    merge's sharded dedup probes it concurrently before any insertion of
-    the batch happens. *)
+    chase's workers probe it concurrently for negated atoms while the
+    store is frozen. *)
 
 val pred_size : t -> string -> int
 (** Number of facts of a predicate (0 for unknown predicates). *)

@@ -35,9 +35,8 @@ let target_chunk_scans = 16_384
    [domains * 4] chunks available for load balancing. *)
 
 let min_parallel_scans = 2 * target_chunk_scans
-(* A batch whose total estimated work is below this evaluates
-   sequentially — the fork-join + merge machinery costs more than the
-   join itself (the old fixed-count policy made tiny strata slower at
+(* A batch whose total estimated work is below this runs inline — the
+   fork-join + merge machinery costs more than the join itself (the old fixed-count policy made tiny strata slower at
    4 domains than at 1). *)
 
 let min_chunk_facts = 64
@@ -50,14 +49,6 @@ let spd_init = 64.0
    measured: assume moderately expensive, so first iterations of big
    deltas parallelize and the measured rate takes over from there. *)
 
-let dedup_shards = 16
-(* Fact-hash shards for the phase-2 dedup classification. *)
-
-let dedup_parallel_floor = 1024
-(* Below this many candidate head facts the sharded classification
-   runs inline — spawning tasks to probe a few hundred hashtable keys
-   is slower than just probing them. *)
-
 type interrupt = {
   reason : Budget.reason;
   stratum : int;  (* stratum being evaluated when the budget ran out *)
@@ -67,20 +58,27 @@ type interrupt = {
 
 exception Interrupted of interrupt
 
-(* The per-stratum fixpoint state an incremental re-run resumes from:
-   the semi-naive watermarks ([seen]) each stratum ended with, plus the
-   sizes of the predicates whose growth falsifies the stratum's previous
-   fixpoint (negated atoms, aggregate-binding inputs). All sizes are
-   captured once the run is saturated — every producer of a predicate
-   lives at that predicate's own stratum, so the saturated size equals
-   the size the stratum observed at its fixpoint. *)
+(* The per-stratum fixpoint state a chase resumes from: the semi-naive
+   watermarks ([seen]) each stratum ended with, plus the sizes of the
+   predicates whose growth falsifies the stratum's previous fixpoint
+   (negated atoms, aggregate-binding inputs). All sizes are captured
+   once the run is saturated — every producer of a predicate lives at
+   that predicate's own stratum, so the saturated size equals the size
+   the stratum observed at its fixpoint. A from-scratch run resumes
+   from [cold]: no watermarks, no guards, nothing saturated. *)
 module Snapshot = struct
   type stratum = {
     sn_seen : (string * int) list;
         (* predicates the stratum's semi-naive loop scans -> watermark *)
     sn_guards : (string * int) list;
         (* predicates whose growth invalidates the stratum -> size *)
+    sn_saturated : bool;
+        (* the stratum reached its fixpoint: its aggregate-binding and
+           zero-atom rules' heads are in the database and its test
+           rules' contributor tables are complete *)
   }
+
+  let cold = { sn_seen = []; sn_guards = []; sn_saturated = false }
 
   type t = {
     sn_strata : stratum array;  (* one entry per stratification stratum *)
@@ -127,11 +125,6 @@ type compiled_rule = {
       (* variables a parallel worker must capture per body binding to
          replay head emission later: frontier ∪ head-argument variables,
          minus existentials (those are invented at merge time) *)
-  c_head_atoms : Atom.t array;
-      (* head atoms in source order. Workers of existential-free rules
-         evaluate these during phase 1 — head args are pure functions of
-         the body binding, so precomputing them moves that work off the
-         serial merge (see [run_parallel_batch]). *)
   c_spd : float array;
       (* c_spd.(k): EWMA of scanned facts per delta fact of plan k —
          the cost model behind adaptive chunk sizing. Per plan, not per
@@ -178,22 +171,13 @@ type binding_ctx = {
 
 (* ---- parallel-evaluation worker scratch ------------------------------- *)
 
-(* A head fact a worker precomputed during phase 1: a pure function of
-   the body binding. *)
-type head_fact = { h_pred : string; h_args : Value.t array }
-
 type emission = {
-  e_vals : Value.t array;
-      (* values of [c_capture], same order; [||] when heads were
-         precomputed (existential-free rules need no replay env) *)
+  e_vals : Value.t array;  (* values of [c_capture], same order *)
   e_parents : (string * Value.t array) list;
       (* as ctx.parents: reverse match order *)
-  e_heads : head_fact array;
-      (* precomputed heads; [||] for rules with existentials, whose
-         Skolem terms must be invented at merge time *)
 }
 
-let no_emission = { e_vals = [||]; e_parents = []; e_heads = [||] }
+let no_emission = { e_vals = [||]; e_parents = [] }
 
 (* Worker-local profiler counters: summed into the rule's shared
    accumulator at merge time, keeping the shared record single-writer. *)
@@ -538,30 +522,27 @@ let compile_rule prof rule =
       |> List.sort_uniq compare;
     c_plan_reads = plan_reads;
     c_capture = capture;
-    c_head_atoms = Array.of_list rule.Rule.head;
     c_spd = Array.make (Array.length plans) spd_init;
   }
 
 (* ---- construction ----------------------------------------------------- *)
 
 let create ?(config = default_config) ?(first_null_label = 1) ?strat
-    ?(domains = 1) ?(cap_domains = true) ?pool program =
+    ?(domains = 1) ?pool program =
   (match Program.validate program with
   | Ok () -> ()
   | Error errors ->
     invalid_arg ("Engine.create: " ^ String.concat "; " errors));
   if domains < 1 then invalid_arg "Engine.create: domains must be >= 1";
   (* Oversubscribing a host costs real time under OCaml 5 (every minor
-     collection synchronizes all running domains), so by default the
-     requested parallelism is clamped to what the host can actually run
-     — [Task_pool.recommended] honors cgroup/affinity limits, so a
+     collection synchronizes all running domains), so the requested
+     parallelism is clamped to what the host can actually run —
+     [Task_pool.recommended] honors cgroup/affinity limits, so a
      container pinned to one core evaluates sequentially no matter what
-     [~domains] asks for. Callers that must exercise the parallel
-     machinery regardless (tests, experiments) pass
-     [~cap_domains:false]; an explicit [~pool] is never clamped. *)
-  let domains =
-    if cap_domains then Task_pool.effective ~requested:domains else domains
-  in
+     [~domains] asks for. An explicit [~pool] is never clamped: callers
+     that must exercise the parallel machinery regardless (tests,
+     experiments) borrow one. *)
+  let domains = Task_pool.effective ~requested:domains in
   let pool, pool_owned =
     match pool with
     | Some p -> (Some p, false)
@@ -686,7 +667,7 @@ let candidates t ctx pred terms ~delta =
     | Some (pos, value) -> `List (Database.lookup t.db pred ~pos value)
     | None -> `Range (0, Database.pred_size t.db pred))
 
-let run_plan ?(poll = ignore) t plan ~delta_range ~prof ctx ~on_binding =
+let run_plan t plan ~delta_range ~prof ~poll ctx ~on_binding =
   let steps = plan in
   let n = Array.length steps in
   let rec exec i =
@@ -772,21 +753,20 @@ let check_fact_limit t =
          (limit_message t
             (Printf.sprintf "fact limit exceeded (%d facts)" t.config.max_facts)))
 
-(* Cooperative cancellation: polled at stratum entry and at every
-   fixpoint iteration boundary. The partial-progress snapshot is taken
-   at raise time, so [facts_derived] always equals [stats.facts_derived]
+(* Cooperative cancellation: polled at stratum entry, at every fixpoint
+   iteration boundary and, through [run_plan]'s [poll], every 4096
+   scanned facts of every rule evaluation — inline or on a worker. The
+   partial-progress snapshot reads only coordinator counters, which are
+   frozen while workers run, so concurrent workers raise identical
+   interrupts and [facts_derived] always equals [stats.facts_derived]
    observed right after the interrupt. *)
-let check_budget t budget =
+let check_budget t budget () =
   match budget with
   | None -> ()
   | Some b -> (
     match Budget.check b ~facts:t.s_derived with
     | None -> ()
     | Some reason ->
-      Log.debug (fun m ->
-          m "chase interrupted (%s) at stratum %d, iteration %d, %d facts"
-            (Budget.reason_to_string reason)
-            t.s_stratum t.s_iteration t.s_derived);
       raise
         (Interrupted
            {
@@ -797,7 +777,7 @@ let check_budget t budget =
            }))
 
 (* Emit the heads of a plain (non-aggregate) rule under a complete body
-   binding. Returns true when at least one fact was new. *)
+   binding. *)
 let emit_plain t cr ctx =
   let rule = cr.rule in
   (* Existential variables: one null per (rule, frontier binding). *)
@@ -850,17 +830,14 @@ let emit_plain t cr ctx =
         }
     else Database.Edb
   in
-  let any_new = ref false in
   List.iter
     (fun atom ->
       let args = Array.map (Expr.eval ctx.env) atom.Atom.args in
-      let added = Database.add t.db ~prov atom.Atom.pred args in
-      record_derivation t cr atom.Atom.pred added;
-      if added then any_new := true)
+      record_derivation t cr atom.Atom.pred
+        (Database.add t.db ~prov atom.Atom.pred args))
     rule.Rule.head;
   List.iter (fun (v, _) -> Hashtbl.remove ctx.env v) introduced;
-  check_fact_limit t;
-  !any_new
+  check_fact_limit t
 
 (* Evaluate the post-aggregation phase (assignments and guards over the
    bound aggregate result) and, if every guard holds, emit the heads.
@@ -879,35 +856,30 @@ let emit_agg_head t cr bindings =
         | S_atom _ | S_neg _ -> true)
       cr.post
   in
-  if not passes then false
-  else begin
+  if passes then begin
     let prov =
       if t.config.track_provenance then
         Database.Derived
           { rule_id = rule.Rule.id; rule_label = rule.Rule.label; parents = [] }
       else Database.Edb
     in
-    let any_new = ref false in
     List.iter
       (fun atom ->
         let args = Array.map (Expr.eval env) atom.Atom.args in
-        let added = Database.add t.db ~prov atom.Atom.pred args in
-        record_derivation t cr atom.Atom.pred added;
-        if added then any_new := true)
+        record_derivation t cr atom.Atom.pred
+          (Database.add t.db ~prov atom.Atom.pred args))
       rule.Rule.head;
-    check_fact_limit t;
-    !any_new
+    check_fact_limit t
   end
 
 (* One full evaluation of an aggregate rule. For Bind rules, [finalize]
    emits every group at the end; for Test rules, groups that pass emit as
-   soon as they pass. Returns true when new facts appeared. *)
-let eval_agg_rule t cr ~delta_range ~plan_idx =
+   soon as they pass. *)
+let eval_agg_rule t cr ~poll ~delta_range ~plan_idx =
   let agg = Option.get cr.agg in
   let groups = rule_table t.agg_groups cr.rule.Rule.id in
   let group_vars = cr.group_vars in
   let ctx = { env = Hashtbl.create 16; parents = [] } in
-  let any_new = ref false in
   let on_binding () =
     let gkey = env_values ctx.env group_vars in
     let group =
@@ -933,28 +905,25 @@ let eval_agg_rule t cr ~delta_range ~plan_idx =
         Expr.eval_bool ctx.env
           (Expr.Binop (op, Expr.Const current, rhs))
       in
-      if passes && emit_agg_head t cr group.snapshot then any_new := true
+      if passes then emit_agg_head t cr group.snapshot
     | Rule.Bind _ -> ())
   in
-  run_plan t cr.plans.(plan_idx) ~delta_range ~prof:cr.c_prof ctx ~on_binding;
-  (match agg.Rule.agg_result with
+  run_plan t cr.plans.(plan_idx) ~delta_range ~prof:cr.c_prof ~poll ctx
+    ~on_binding;
+  match agg.Rule.agg_result with
   | Rule.Bind x ->
     Value.Array_tbl.iter
       (fun _ group ->
-        if Aggregate.contributors group.state > 0 then begin
-          let bindings = (x, Aggregate.current group.state) :: group.snapshot in
-          if emit_agg_head t cr bindings then any_new := true
-        end)
+        if Aggregate.contributors group.state > 0 then
+          emit_agg_head t cr
+            ((x, Aggregate.current group.state) :: group.snapshot))
       groups
-  | Rule.Test _ -> ());
-  !any_new
+  | Rule.Test _ -> ()
 
-let eval_plain_rule t cr ~delta_range ~plan_idx =
+let eval_plain_rule t cr ~poll ~delta_range ~plan_idx =
   let ctx = { env = Hashtbl.create 16; parents = [] } in
-  let any_new = ref false in
-  run_plan t cr.plans.(plan_idx) ~delta_range ~prof:cr.c_prof ctx
-    ~on_binding:(fun () -> if emit_plain t cr ctx then any_new := true);
-  !any_new
+  run_plan t cr.plans.(plan_idx) ~delta_range ~prof:cr.c_prof ~poll ctx
+    ~on_binding:(fun () -> emit_plain t cr ctx)
 
 (* Every rule evaluation goes through here: the profiler's per-rule self
    time and evaluation count come from this wrapper (plus the optional
@@ -968,45 +937,39 @@ let eval_timed cr f =
     ~finally:(fun () -> p.Profile.r_time <- p.Profile.r_time +. (Profile.now () -. t0))
     (fun () -> Telemetry.span cr.c_span f)
 
-(* ---- parallel evaluation ---------------------------------------------- *)
+(* ---- plain-rule evaluation -------------------------------------------- *)
 
-(* Parallel evaluation of a plain rule is split into phases so the
-   result stays byte-identical to sequential evaluation (the full
-   design and correctness argument live in docs/PARALLELISM.md):
+(* One walk evaluates the plain rules of every fixpoint iteration, with
+   or without a pool: the (rule, delta plan) jobs are visited in a fixed
+   order and grouped greedily into batches. A batch runs inline — job
+   by job through [eval_plain_rule], which is the sequential chase —
+   unless the engine has a pool and the batch's estimated work reaches
+   [min_parallel_scans]. Then it runs in two phases that stay
+   byte-identical to the inline run (the full design and correctness
+   argument live in docs/PARALLELISM.md):
 
-   - phase 1 (parallel, read-only): the delta range is cut into
+   - phase 1 (parallel, read-only): each job's delta range is cut into
      contiguous chunks sized by the rule's cost model; each worker runs
      the join plan over its chunk against the frozen database into a
-     reused [wscratch]. For existential-free rules the worker also
-     evaluates the head atoms — pure functions of the body binding —
-     so the merge doesn't have to. Nothing is written to the database,
-     the skolem memo, or the shared profiler.
-   - phase 2a (parallel, read-only): precomputed head facts are sharded
-     by argument hash and classified against the frozen store: a
-     candidate already present, or appearing earlier in replay order,
-     is a definitive duplicate. Duplicate verdicts are sound under
-     merge interleaving because the store only ever gains facts.
-   - phase 2b (single-threaded merge): the coordinator replays the
+     reused [wscratch], buffering per binding the values of the rule's
+     capture set and the matched parents. Nothing is written to the
+     database, the skolem memo, or the shared profiler.
+   - phase 2 (single-threaded merge): the coordinator replays the
      buffered bindings in job order, then chunk order, then binding
-     order — exactly the order sequential evaluation would have emitted
-     them. Classified duplicates reduce to a counter bump; the rest
-     go through [Database.add] (still probing, so the classification
-     only ever skips work, never changes outcomes).
-     Rules with existentials replay through [emit_plain] as before, so
-     skolemization stays sequential and deterministic. Insertion order,
-     labelled null names, dedup outcomes and provenance are therefore
-     identical to a sequential run.
+     order — exactly the order inline evaluation would have emitted
+     them — through [emit_plain], the inline emission path itself.
+     Insertion order, labelled null names, dedup outcomes and
+     provenance are therefore identical to an inline run.
 
-   A (rule, plan) job is eligible only when it is {e snapshot-safe}:
+   A (rule, plan) job joins a batch only when it is {e snapshot-safe}:
    its head predicates do not intersect the predicates the plan reads
-   outside its delta atom ([c_plan_reads]), because sequential
-   evaluation lets a rule's inner scans see its own emissions live.
-   Consecutive eligible jobs are batched greedily while no job reads a
-   predicate an earlier job of the batch writes; aggregate rules and
-   zero-atom rules always evaluate sequentially, as do batches whose
-   estimated total work is below [min_parallel_scans]. *)
+   outside its delta atom ([c_plan_reads]), because inline evaluation
+   lets a rule's inner scans see its own emissions live; and it reads
+   no predicate an earlier job of the batch writes. Any other job, and
+   every zero-atom rule, flushes the batch and runs inline; aggregate
+   rules never enter this walk. *)
 
-type par_job = { j_cr : compiled_rule; j_plan : int; j_lo : int; j_hi : int }
+type job = { j_cr : compiled_rule; j_plan : int; j_lo : int; j_hi : int }
 
 (* Cost-model feedback: observed scanned-facts-per-delta-fact of a
    completed evaluation, folded into the rule's EWMA with equal weight
@@ -1020,26 +983,6 @@ let spd_update cr ~plan ~delta ~scanned =
 
 let job_est_scans j =
   float_of_int (j.j_hi - j.j_lo) *. j.j_cr.c_spd.(j.j_plan)
-
-(* Per-worker budget poll (every 4096 scanned facts, via [run_plan]'s
-   [poll] hook). The partial-progress snapshot reads only coordinator
-   counters, which are frozen during phase 1, so concurrent workers
-   raise identical interrupts. *)
-let worker_poll t budget () =
-  match budget with
-  | None -> ()
-  | Some b -> (
-    match Budget.check b ~facts:t.s_derived with
-    | None -> ()
-    | Some reason ->
-      raise
-        (Interrupted
-           {
-             reason;
-             stratum = t.s_stratum;
-             iteration = t.s_iteration;
-             facts_derived = t.s_derived;
-           }))
 
 (* Cut [lo, hi) into contiguous chunks sized by estimated join work:
    enough chunks that each carries ~[target_chunk_scans] scanned facts
@@ -1063,107 +1006,9 @@ let adaptive_chunks ~domains ~spd lo hi =
 let parallel_safe cr k =
   not (List.exists (fun p -> List.mem p cr.c_heads) cr.c_plan_reads.(k))
 
-(* Phase 2a: classify every precomputed head fact of the batch as a
-   definitive duplicate or a possible insert, before the merge touches
-   the database. Candidates are flattened in replay order; verdicts go
-   into a bytes array indexed by that order (the merge walks it with a
-   cursor). The work is sharded by the hash of the head's arguments so
-   shards share nothing: each shard sees every candidate of its facts
-   in replay order and marks a candidate [Dup] when its fact is in the
-   frozen store or an earlier same-shard candidate is the same fact.
-
-   Soundness of a [Dup] verdict under merge interleaving: the store
-   only ever gains facts, so "present before the merge" implies
-   "present at replay time"; and an earlier equal candidate has, by
-   replay time, either inserted the fact or been a duplicate of it —
-   either way the fact is present. Non-[Dup] candidates are merely
-   *maybe* new: a skolem-rule emission replayed in between may have
-   inserted the same fact, which is why the merge still probes them
-   (via [Database.add]). Classification skips work; it never decides
-   an insert. *)
-let classify_batch t pool results =
-  let total = ref 0 in
-  Array.iter
-    (function
-      | Ok (ws, _) ->
-        for k = 0 to ws.ws_n - 1 do
-          total := !total + Array.length ws.ws_emits.(k).e_heads
-        done
-      | Error _ -> ())
-    results;
-  let n = !total in
-  if n = 0 then Bytes.empty
-  else begin
-    let heads = Array.make n { h_pred = ""; h_args = [||] } in
-    let i = ref 0 in
-    Array.iter
-      (function
-        | Ok (ws, _) ->
-          for k = 0 to ws.ws_n - 1 do
-            Array.iter
-              (fun h ->
-                heads.(!i) <- h;
-                incr i)
-              ws.ws_emits.(k).e_heads
-          done
-        | Error _ -> ())
-      results;
-    let verdicts = Bytes.make n '\000' in
-    (* '\001' = definitive duplicate, '\000' = maybe new; [seen] maps
-       arguments to the preds already classified with them. *)
-    let classify seen idx =
-      let { h_pred; h_args } = heads.(idx) in
-      let preds =
-        Option.value ~default:[] (Value.Array_tbl.find_opt seen h_args)
-      in
-      if List.mem h_pred preds || Database.mem t.db h_pred h_args then
-        Bytes.set verdicts idx '\001'
-      else Value.Array_tbl.replace seen h_args (h_pred :: preds)
-    in
-    if n >= dedup_parallel_floor && Task_pool.domains pool > 1 then begin
-      (* Shard by the arguments only (not pred): two preds sharing
-         arguments land in the same shard, where [seen] tells them
-         apart. The hash is re-mixed so a shard's candidates still
-         spread over its own tables' buckets. Built back-to-front so
-         each bucket lists its candidate indexes in increasing replay
-         order. *)
-      let buckets = Array.make dedup_shards [] in
-      for idx = n - 1 downto 0 do
-        let s =
-          Hashtbl.hash (Value.hash_array heads.(idx).h_args)
-          land (dedup_shards - 1)
-        in
-        buckets.(s) <- idx :: buckets.(s)
-      done;
-      let tasks =
-        Array.to_list buckets
-        |> List.filter_map (fun idxs ->
-               if idxs = [] then None
-               else
-                 Some
-                   (fun () ->
-                     let seen = Value.Array_tbl.create 256 in
-                     List.iter (classify seen) idxs))
-        |> Array.of_list
-      in
-      (* run_all's completion latch publishes the disjoint [verdicts]
-         writes to the coordinator. *)
-      Array.iter
-        (function Error e -> raise e | Ok () -> ())
-        (Task_pool.run_all pool tasks)
-    end
-    else begin
-      let seen = Value.Array_tbl.create 256 in
-      for idx = 0 to n - 1 do
-        classify seen idx
-      done
-    end;
-    verdicts
-  end
-
-let run_parallel_batch t pool ~budget jobs =
+let run_parallel_batch t pool ~poll jobs =
   (* One evaluation per job, accounted up front so [r_evals] matches the
-     sequential count deterministically. *)
+     inline count deterministically. *)
   List.iter
     (fun j ->
       let p = j.j_cr.c_prof in
@@ -1183,34 +1028,19 @@ let run_parallel_batch t pool ~budget jobs =
       (List.map
          (fun (j, lo, hi) () ->
            Faultpoint.hit "engine.chunk";
-           worker_poll t budget ();
+           poll ();
            let t0 = Profile.now () in
            let cr = j.j_cr in
            let ws = Joinstate.acquire t.scratch in
            try
              let ctx = ws.ws_ctx in
-             let precompute = cr.existentials = [] in
              run_plan t cr.plans.(j.j_plan) ~delta_range:(Some (lo, hi))
-               ~prof:ws.ws_prof ~poll:(worker_poll t budget) ctx
-               ~on_binding:(fun () ->
-                 let heads =
-                   if not precompute then [||]
-                   else
-                     Array.map
-                       (fun atom ->
-                         {
-                           h_pred = atom.Atom.pred;
-                           h_args = Array.map (Expr.eval ctx.env) atom.Atom.args;
-                         })
-                       cr.c_head_atoms
-                 in
-                 let vals =
-                   if precompute then [||]
-                   else
-                     Array.map (fun v -> Hashtbl.find ctx.env v) cr.c_capture
-                 in
+               ~prof:ws.ws_prof ~poll ctx ~on_binding:(fun () ->
                  ws_push ws
-                   { e_vals = vals; e_parents = ctx.parents; e_heads = heads });
+                   {
+                     e_vals = Array.map (Hashtbl.find ctx.env) cr.c_capture;
+                     e_parents = ctx.parents;
+                   });
              let elapsed = Profile.now () -. t0 in
              (* Recorded on the worker domain into its registry shard. *)
              Telemetry.observe "engine.chunk.size" (float_of_int (hi - lo));
@@ -1234,16 +1064,12 @@ let run_parallel_batch t pool ~budget jobs =
       results;
     Array.iter (function Error e -> raise e | Ok _ -> ()) results
   end;
-  let chunks = Array.of_list chunks in
   (* Phase 2: the serial tail that caps parallel speedup, so it gets
-     its own span and histogram. Classification (2a) runs before the
-     first insertion so every [Dup] verdict is sound at replay time. *)
+     its own span and histogram. *)
   Telemetry.span "engine.merge" (fun () ->
       let t0 = Profile.now () in
-      let verdicts = classify_batch t pool results in
-      let cursor = ref 0 in
-      let merge_ctx = { env = Hashtbl.create 16; parents = [] } in
-      Array.iteri
+      let ctx = { env = Hashtbl.create 16; parents = [] } in
+      List.iteri
         (fun i (j, lo, hi) ->
           match results.(i) with
           | Error _ -> assert false
@@ -1258,56 +1084,30 @@ let run_parallel_batch t pool ~budget jobs =
               p.Profile.r_bindings + wp.Profile.r_bindings;
             spd_update cr ~plan:j.j_plan ~delta:(hi - lo)
               ~scanned:wp.Profile.r_scanned;
-            if cr.existentials = [] then
-              for k = 0 to ws.ws_n - 1 do
-                let e = ws.ws_emits.(k) in
-                let prov =
-                  if t.config.track_provenance then
-                    Database.Derived
-                      {
-                        rule_id = cr.rule.Rule.id;
-                        rule_label = cr.rule.Rule.label;
-                        parents = List.rev e.e_parents;
-                      }
-                  else Database.Edb
-                in
-                Array.iter
-                  (fun h ->
-                    let added =
-                      Bytes.get verdicts !cursor = '\000'
-                      && Database.add t.db ~prov h.h_pred h.h_args
-                    in
-                    incr cursor;
-                    record_derivation t cr h.h_pred added)
-                  e.e_heads;
-                check_fact_limit t
-              done
-            else
-              for k = 0 to ws.ws_n - 1 do
-                let e = ws.ws_emits.(k) in
-                Hashtbl.reset merge_ctx.env;
-                Array.iteri
-                  (fun vi v ->
-                    Hashtbl.replace merge_ctx.env cr.c_capture.(vi) v)
-                  e.e_vals;
-                merge_ctx.parents <- e.e_parents;
-                ignore (emit_plain t cr merge_ctx)
-              done;
+            for k = 0 to ws.ws_n - 1 do
+              let e = ws.ws_emits.(k) in
+              Hashtbl.reset ctx.env;
+              Array.iteri
+                (fun vi v -> Hashtbl.replace ctx.env cr.c_capture.(vi) v)
+                e.e_vals;
+              ctx.parents <- e.e_parents;
+              emit_plain t cr ctx
+            done;
             Joinstate.release t.scratch ws)
         chunks;
       Telemetry.observe "engine.merge.replay" (Profile.now () -. t0))
 
-(* The parallel counterpart of the sequential plain-rule pass of
-   [run_stratum]: walk the same (rule, delta plan) jobs in the same
-   order, batching consecutive snapshot-safe jobs and flushing a batch
-   whenever the next job must observe its predecessors' emissions. *)
-let run_plain_rules_parallel t pool ~budget ~iteration ~watermark ~snap
-    plain_rules =
-  let seq_eval cr ~delta_range ~plan_idx =
+(* The plain-rule pass of one fixpoint iteration: walk the (rule, delta
+   plan) jobs in rule order, batching consecutive snapshot-safe jobs
+   and flushing a batch whenever the next job must observe its
+   predecessors' emissions. Zero-atom rules have no delta and run on
+   the [first_pass] only. *)
+let run_plain_rules t ~poll ~first_pass ~watermark ~snap plain_rules =
+  let eval_inline cr ~delta_range ~plan_idx =
     let scanned_before = cr.c_prof.Profile.r_scanned in
     eval_timed cr (fun () ->
-        ignore (eval_plain_rule t cr ~delta_range ~plan_idx));
-    (* Sequential evaluations feed the cost model too, so a rule that
+        eval_plain_rule t cr ~poll ~delta_range ~plan_idx);
+    (* Inline evaluations feed the cost model too, so a rule that
        never parallelizes still has a current estimate when its delta
        finally grows. *)
     match delta_range with
@@ -1322,30 +1122,29 @@ let run_plain_rules_parallel t pool ~budget ~iteration ~watermark ~snap
     let jobs = List.rev !batch in
     batch := [];
     batch_heads := [];
-    match jobs with
-    | [] -> ()
-    | jobs ->
-      (* Estimated total join work decides whether the batch is worth
-         the fork-join + capture/replay machinery at all: tiny batches
-         (the long tail of most fixpoints) run sequentially and dodge
-         the constant factors entirely. *)
-      let est = List.fold_left (fun acc j -> acc +. job_est_scans j) 0.0 jobs in
-      if est < float_of_int min_parallel_scans then
-        List.iter
-          (fun j ->
-            seq_eval j.j_cr
-              ~delta_range:(Some (j.j_lo, j.j_hi))
-              ~plan_idx:j.j_plan)
-          jobs
-      else run_parallel_batch t pool ~budget jobs
+    (* Estimated total join work decides whether the batch is worth
+       the fork-join + capture/replay machinery at all: tiny batches
+       (the long tail of most fixpoints) run inline and dodge the
+       constant factors entirely. *)
+    let est = List.fold_left (fun acc j -> acc +. job_est_scans j) 0.0 jobs in
+    match t.pool with
+    | Some pool when est >= float_of_int min_parallel_scans ->
+      run_parallel_batch t pool ~poll jobs
+    | Some _ | None ->
+      List.iter
+        (fun j ->
+          eval_inline j.j_cr
+            ~delta_range:(Some (j.j_lo, j.j_hi))
+            ~plan_idx:j.j_plan)
+        jobs
   in
   List.iter
     (fun cr ->
       let n = Array.length cr.pos_atoms in
       if n = 0 then begin
-        if iteration = 1 then begin
+        if first_pass then begin
           flush ();
-          seq_eval cr ~delta_range:None ~plan_idx:n
+          eval_inline cr ~delta_range:None ~plan_idx:n
         end
       end
       else
@@ -1365,7 +1164,7 @@ let run_plain_rules_parallel t pool ~budget ~iteration ~watermark ~snap
             end
             else begin
               flush ();
-              seq_eval cr ~delta_range:(Some (lo, hi)) ~plan_idx:k
+              eval_inline cr ~delta_range:(Some (lo, hi)) ~plan_idx:k
             end
           end
         done)
@@ -1382,53 +1181,51 @@ let is_test_rule cr =
   | Some { agg_result = Rule.Test _; _ } -> true
   | Some { agg_result = Rule.Bind _; _ } | None -> false
 
-let run_stratum ?budget ?seed t index rules =
+let run_stratum ?budget ~seed t index rules =
   t.s_stratum <- index;
   t.s_iteration <- 0;
   t.s_strata_run <- t.s_strata_run + 1;
   Faultpoint.hit "engine.stratum";
-  check_budget t budget;
-  (* Incremental continuation: with a [seed], the stratum resumes the
-     previous run's fixpoint. That is only sound while every
-     non-monotone input is exactly as the previous run left it — a
-     grown guard predicate means facts derived through [not p(..)] or a
-     saturated aggregate binding may no longer hold, so the whole
-     continuation is abandoned (the caller falls back to a from-scratch
-     chase; this engine's database may hold partial results from
-     already-continued strata and must be discarded). *)
-  (match seed with
-  | None -> ()
-  | Some s ->
-    List.iter
-      (fun (p, size) ->
-        let cur = Database.pred_size t.db p in
-        if cur <> size then
-          raise
-            (Invalidated
-               (Printf.sprintf
-                  "stratum %d: predicate %s has %d facts, snapshot expects %d \
-                   (negated or aggregated input changed)"
-                  index p cur size)))
-      s.Snapshot.sn_guards);
-  let incremental = seed <> None in
+  let poll = check_budget t budget in
+  poll ();
+  (* The stratum resumes the fixpoint its [seed] records. That is only
+     sound while every non-monotone input is exactly as the previous run
+     left it — a grown guard predicate means facts derived through
+     [not p(..)] or a saturated aggregate binding may no longer hold, so
+     the whole continuation is abandoned (the caller falls back to a
+     from-scratch chase; this engine's database may hold partial results
+     from already-continued strata and must be discarded). *)
+  List.iter
+    (fun (p, size) ->
+      let cur = Database.pred_size t.db p in
+      if cur <> size then
+        raise
+          (Invalidated
+             (Printf.sprintf
+                "stratum %d: predicate %s has %d facts, snapshot expects %d \
+                 (negated or aggregated input changed)"
+                index p cur size)))
+    seed.Snapshot.sn_guards;
   let facts_at_entry = Database.total t.db in
   let duplicates_at_entry = t.s_duplicates in
   let compiled = List.map (fun r -> Hashtbl.find t.compiled r.Rule.id) rules in
   List.iter (fun cr -> cr.c_prof.Profile.r_stratum <- index) compiled;
-  (* A continued stratum skips aggregate-binding rules (their inputs are
+  (* A saturated stratum skips aggregate-binding rules (their inputs are
      unchanged by the guard check, so their output is already in the
      database) and zero-atom rules (no positive atoms — their heads were
      emitted by the previous run and would only come back as
      duplicates). *)
-  let bind_rules = if incremental then [] else List.filter is_bind_rule compiled in
+  let compiled =
+    if seed.Snapshot.sn_saturated then
+      List.filter
+        (fun cr -> (not (is_bind_rule cr)) && Array.length cr.pos_atoms > 0)
+        compiled
+    else compiled
+  in
+  let bind_rules = List.filter is_bind_rule compiled in
   let test_rules = List.filter is_test_rule compiled in
   let plain_rules =
     List.filter (fun cr -> not (is_bind_rule cr || is_test_rule cr)) compiled
-  in
-  let plain_rules =
-    if incremental then
-      List.filter (fun cr -> Array.length cr.pos_atoms > 0) plain_rules
-    else plain_rules
   in
   let iteration = ref 0 in
   let stratum_start = Profile.now () in
@@ -1442,16 +1239,13 @@ let run_stratum ?budget ?seed t index rules =
     (fun cr ->
       let n = Array.length cr.pos_atoms in
       eval_timed cr (fun () ->
-          ignore (eval_agg_rule t cr ~delta_range:None ~plan_idx:n)))
+          eval_agg_rule t cr ~poll ~delta_range:None ~plan_idx:n))
     bind_rules;
-  (* Fixpoint for the rest. A seeded [seen] table makes the first
+  (* Fixpoint for the rest. The seeded [seen] table makes the first
      iteration's deltas exactly the facts that appeared since the
-     previous run's fixpoint. *)
+     stratum's previous fixpoint — every fact, for a cold seed. *)
   let seen = Hashtbl.create 16 in
-  (match seed with
-  | None -> ()
-  | Some s ->
-    List.iter (fun (p, w) -> Hashtbl.replace seen p w) s.Snapshot.sn_seen);
+  List.iter (fun (p, w) -> Hashtbl.replace seen p w) seed.Snapshot.sn_seen;
   let watermark pred =
     match Hashtbl.find_opt seen pred with Some w -> w | None -> 0
   in
@@ -1461,7 +1255,7 @@ let run_stratum ?budget ?seed t index rules =
     t.s_iteration <- !iteration;
     t.s_iterations <- t.s_iterations + 1;
     Faultpoint.hit "engine.iterate";
-    check_budget t budget;
+    poll ();
     if !iteration > t.config.max_iterations then
       raise
         (Limit
@@ -1486,47 +1280,22 @@ let run_stratum ?budget ?seed t index rules =
     let snap pred =
       match Hashtbl.find_opt snapshot pred with Some s -> s | None -> 0
     in
-    (match t.pool with
-    | Some pool ->
-      run_plain_rules_parallel t pool ~budget ~iteration:!iteration ~watermark
-        ~snap plain_rules
-    | None ->
-      List.iter
-        (fun cr ->
-          let n = Array.length cr.pos_atoms in
-          if n = 0 then begin
-            if !iteration = 1 then
-              eval_timed cr (fun () ->
-                  ignore (eval_plain_rule t cr ~delta_range:None ~plan_idx:n))
-          end
-          else
-            for k = 0 to n - 1 do
-              let pred = fst cr.pos_atoms.(k) in
-              let lo = watermark pred and hi = snap pred in
-              if lo < hi then begin
-                Telemetry.observe "engine.iteration.delta"
-                  (float_of_int (hi - lo));
-                eval_timed cr (fun () ->
-                    ignore
-                      (eval_plain_rule t cr ~delta_range:(Some (lo, hi))
-                         ~plan_idx:k))
-              end
-            done)
-        plain_rules);
+    run_plain_rules t ~poll ~first_pass:(!iteration = 1) ~watermark ~snap
+      plain_rules;
     List.iter
       (fun cr ->
         (* The unconditional first evaluation only matters for a cold
-           start (empty [seen]); a continued stratum re-tests only on a
-           real delta — its persistent contributor tables already hold
-           every previous contribution. *)
+           stratum; a saturated one re-tests only on a real delta — its
+           persistent contributor tables already hold every previous
+           contribution. *)
         let dirty =
-          ((not incremental) && !iteration = 1)
+          ((not seed.Snapshot.sn_saturated) && !iteration = 1)
           || List.exists (fun p -> watermark p < snap p) (preds_of cr)
         in
         if dirty then
           let n = Array.length cr.pos_atoms in
           eval_timed cr (fun () ->
-              ignore (eval_agg_rule t cr ~delta_range:None ~plan_idx:n)))
+              eval_agg_rule t cr ~poll ~delta_range:None ~plan_idx:n))
       test_rules;
     Hashtbl.iter (fun pred s -> Hashtbl.replace seen pred s) snapshot;
     Telemetry.observe "engine.iteration.derived"
@@ -1617,7 +1386,9 @@ let publish_telemetry t =
       t.pred_derived
   end
 
-let run ?budget t =
+(* The strata driver of [run] and [run_incremental]: every stratum
+   bottom-up, each resumed from its seed. *)
+let run_strata ?budget ~span t seeds =
   let t0 = Profile.now () in
   Fun.protect
     ~finally:(fun () ->
@@ -1626,12 +1397,23 @@ let run ?budget t =
          degraded reports are built from these partial counters *)
       publish_telemetry t)
     (fun () ->
-      Telemetry.span "engine.run" (fun () ->
-          Array.iteri
-            (fun i rules ->
-              Telemetry.span ("engine.stratum." ^ string_of_int i) (fun () ->
-                  run_stratum ?budget t i rules))
-            t.strat.Stratify.strata))
+      try
+        Telemetry.span span (fun () ->
+            Array.iteri
+              (fun i rules ->
+                Telemetry.span ("engine.stratum." ^ string_of_int i)
+                  (fun () -> run_stratum ?budget ~seed:seeds.(i) t i rules))
+              t.strat.Stratify.strata)
+      with Interrupted i as e ->
+        Log.debug (fun m ->
+            m "chase interrupted (%s) at stratum %d, iteration %d, %d facts"
+              (Budget.reason_to_string i.reason)
+              i.stratum i.iteration i.facts_derived);
+        raise e)
+
+let run ?budget t =
+  run_strata ?budget ~span:"engine.run" t
+    (Array.map (fun _ -> Snapshot.cold) t.strat.Stratify.strata)
 
 (* ---- incremental re-evaluation ---------------------------------------- *)
 
@@ -1667,7 +1449,11 @@ let snapshot t =
             compiled
           |> List.sort_uniq compare
         in
-        { Snapshot.sn_seen = sizes seen_preds; sn_guards = sizes guard_preds })
+        {
+          Snapshot.sn_seen = sizes seen_preds;
+          sn_guards = sizes guard_preds;
+          sn_saturated = true;
+        })
       t.strat.Stratify.strata
   in
   { Snapshot.sn_strata = strata; sn_total = Database.total t.db }
@@ -1682,19 +1468,7 @@ let run_incremental ?budget ~snapshot:(snap : Snapshot.t) t =
          (Printf.sprintf "snapshot covers %d strata, the program has %d"
             (Array.length snap.Snapshot.sn_strata)
             (Array.length t.strat.Stratify.strata)));
-  let t0 = Profile.now () in
-  Fun.protect
-    ~finally:(fun () ->
-      Profile.add_run_time t.prof (Profile.now () -. t0);
-      publish_telemetry t)
-    (fun () ->
-      Telemetry.span "engine.run_incremental" (fun () ->
-          Array.iteri
-            (fun i rules ->
-              Telemetry.span ("engine.stratum." ^ string_of_int i) (fun () ->
-                  run_stratum ?budget ~seed:snap.Snapshot.sn_strata.(i) t i
-                    rules))
-            t.strat.Stratify.strata));
+  run_strata ?budget ~span:"engine.run_incremental" t snap.Snapshot.sn_strata;
   snapshot t
 
 let null_origin t label = Hashtbl.find_opt t.null_origins label

@@ -15,22 +15,20 @@
     - every derived fact can record its rule and parent facts for
       {!Provenance} explanations.
 
-    {b Parallel evaluation.} With [~domains:N] (or a shared [~pool]),
-    {!run} evaluates each stratum's plain rules across OCaml 5 domains:
-    batches of snapshot-safe (rule, delta-plan) jobs run a read-only
-    join phase in parallel over contiguous delta chunks, then a
-    single-threaded merge replays the buffered bindings in sequential
-    emission order. Chunks are sized adaptively by a per-rule cost
-    model (estimated scanned facts), batches below a work threshold
-    run sequentially, workers reuse join scratch from a lock-free
-    {!Joinstate} bank, and for existential-free rules the workers
-    precompute head facts so the merge's serial tail shrinks to
-    classified counter bumps and inserts. Results
-    — fact insertion order, labelled-null names, provenance, dedup and
-    aggregate-contributor semantics — are byte-identical to
-    [~domains:1]. Rules whose plans read their own head predicates,
-    aggregate rules and zero-atom rules fall back to sequential
-    evaluation. Design and correctness argument: [docs/PARALLELISM.md];
+    {b Parallel evaluation.} One walk evaluates each iteration's plain
+    rules: it groups snapshot-safe (rule, delta-plan) jobs into batches
+    and runs each batch inline, job by job — the sequential chase —
+    unless the engine has a pool ([~domains:N] or a shared [~pool]) and
+    the batch's estimated work (a per-rule cost model of scanned facts)
+    crosses a threshold. Such a batch runs a read-only join phase in
+    parallel over contiguous delta chunks, reusing join scratch from a
+    lock-free {!Joinstate} bank, then a single-threaded merge replays
+    the buffered bindings in inline emission order through the inline
+    emission path. Results — fact insertion order, labelled-null names,
+    provenance, dedup and aggregate-contributor semantics — are
+    byte-identical to [~domains:1]. Rules whose plans read their own
+    head predicates, aggregate rules and zero-atom rules always run
+    inline. Design and correctness argument: [docs/PARALLELISM.md];
     measured behavior: [docs/PERFORMANCE.md].
 
     {b Thread-safety contract.} An engine is {e single-writer}: at most
@@ -79,15 +77,17 @@ type interrupt = {
 exception Interrupted of interrupt
 (** Raised by {!run} when the supplied {!Vadasa_base.Budget} is
     exhausted. Unlike {!Limit} (a program pathology), an interrupt is
-    an orderly stop at an iteration boundary: the database holds every
-    fact derived so far and the engine can be inspected — or even
-    resumed with a fresh budget, since {!run} is idempotent. *)
+    an orderly stop between two head emissions — at a stratum or
+    iteration boundary, or inside a rule evaluation: the database holds
+    every fact derived so far, each with all of its rule's heads, and
+    the engine can be inspected — or even resumed with a fresh budget,
+    since {!run} is idempotent. *)
 
 type t
 
 val create :
   ?config:config -> ?first_null_label:int -> ?strat:Stratify.t ->
-  ?domains:int -> ?cap_domains:bool -> ?pool:Vadasa_base.Task_pool.t ->
+  ?domains:int -> ?pool:Vadasa_base.Task_pool.t ->
   Program.t -> t
 (** Loads the program's inline facts; raises [Invalid_argument] on programs
     that fail {!Program.validate} and {!Stratify.Not_stratifiable} on
@@ -102,21 +102,20 @@ val create :
 
     [domains] (default [1], must be ≥ 1) enables parallel evaluation:
     the engine creates — and owns — a {!Vadasa_base.Task_pool} of that
-    many domains, released by {!shutdown}. [cap_domains] (default
-    [true]) clamps the request to
+    many domains, released by {!shutdown}. The request is clamped to
     {!Vadasa_base.Task_pool.recommended} — the host's useful
     parallelism under cgroup/affinity limits — because oversubscribing
     OCaml 5 domains costs real time (every minor collection
     synchronizes all running domains): [~domains:4] on a one-core
-    container evaluates sequentially. Pass [~cap_domains:false] to
-    exercise the parallel machinery regardless (tests, scheduler
-    experiments). [pool] instead {e borrows} an existing pool (it wins
-    over [domains] when both are given, is never stopped by
-    {!shutdown}, and is never clamped — the caller already chose its
-    size); a server with its own request workers shares one engine
-    pool across requests this way, keeping the process-wide domain
-    count fixed. With an effective [domains = 1] and no [pool],
-    evaluation is exactly the sequential engine. *)
+    container evaluates sequentially. [pool] instead {e borrows} an
+    existing pool (it wins over [domains] when both are given, is never
+    stopped by {!shutdown}, and is never clamped — the caller already
+    chose its size, which is how tests and scheduler experiments
+    exercise the parallel machinery on any host); a server with its own
+    request workers shares one engine pool across requests this way,
+    keeping the process-wide domain count fixed. With an effective
+    [domains = 1] and no [pool], every batch runs inline: evaluation is
+    exactly the sequential engine. *)
 
 val add_fact : t -> string -> Vadasa_base.Value.t list -> unit
 
@@ -126,13 +125,14 @@ val run : ?budget:Vadasa_base.Budget.t -> t -> unit
 (** Saturate. Idempotent: calling [run] again after adding facts resumes
     from the current state (all strata re-run). [budget] enables
     cooperative cancellation: it is polled at every stratum entry and
-    fixpoint-iteration boundary — and, under parallel evaluation,
-    {e per worker} every 4096 scanned facts — raising {!Interrupted}
-    when exhausted (partial results stay in the database, telemetry is
-    still published; an interrupt raised inside a parallel batch
-    discards that batch's not-yet-merged bindings, so the database
-    holds only whole-batch prefixes). Without [budget] the only guards
-    are the {!config} limits. *)
+    fixpoint-iteration boundary, and every 4096 scanned facts inside
+    each rule evaluation — inline on the calling domain, or on each
+    worker of a parallel batch — raising {!Interrupted} when exhausted
+    (partial results stay in the database, telemetry is still
+    published; an interrupt raised inside a parallel batch discards
+    that batch's not-yet-merged bindings, so the database holds only
+    whole-batch prefixes). Without [budget] the only guards are the
+    {!config} limits. *)
 
 val parallelism : t -> int
 (** Domains evaluation may use: the pool's size, or [1] when the engine

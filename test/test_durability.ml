@@ -487,54 +487,9 @@ let test_registry_concurrent_append_hammer () =
 
 (* --- the /v1/jobs surface over HTTP ---------------------------------------- *)
 
-let http_call_full ~port ~meth ~target ?(headers = []) ?(body = "") () =
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Fun.protect
-    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-    (fun () ->
-      Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-      let buf = Buffer.create (String.length body + 256) in
-      Buffer.add_string buf (Printf.sprintf "%s %s HTTP/1.1\r\n" meth target);
-      List.iter
-        (fun (k, v) -> Buffer.add_string buf (Printf.sprintf "%s: %s\r\n" k v))
-        (("host", "localhost") :: headers);
-      Buffer.add_string buf
-        (Printf.sprintf "content-length: %d\r\n\r\n" (String.length body));
-      Buffer.add_string buf body;
-      let raw = Buffer.to_bytes buf in
-      let off = ref 0 in
-      while !off < Bytes.length raw do
-        off := !off + Unix.write fd raw !off (Bytes.length raw - !off)
-      done;
-      let resp = Buffer.create 1024 in
-      let chunk = Bytes.create 8192 in
-      let rec drain () =
-        match Unix.read fd chunk 0 (Bytes.length chunk) with
-        | 0 -> ()
-        | n ->
-          Buffer.add_subbytes resp chunk 0 n;
-          drain ()
-        | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> ()
-      in
-      drain ();
-      let raw = Buffer.contents resp in
-      let status =
-        match String.split_on_char ' ' raw with
-        | _ :: code :: _ -> int_of_string_opt code |> Option.value ~default:0
-        | _ -> 0
-      in
-      let head, body =
-        match Astring_contains.find_sub raw "\r\n\r\n" with
-        | Some i ->
-          ( String.sub raw 0 i,
-            String.sub raw (i + 4) (String.length raw - i - 4) )
-        | None -> (raw, "")
-      in
-      (status, String.lowercase_ascii head, body))
-
-let http_call ~port ~meth ~target ?(headers = []) ?(body = "") () =
-  let status, _head, body =
-    http_call_full ~port ~meth ~target ~headers ~body ()
+let http_call ~port ~meth ~target ?headers ?body () =
+  let status, _, body =
+    Srv.Client.request ~host:"127.0.0.1" ~port ~meth ~target ?headers ?body ()
   in
   (status, body)
 
@@ -698,15 +653,16 @@ let test_jobs_admission_gates () =
           put_dataset ~port ~id:"fig6" csv;
           let status, _ = submit_job ~port ~dataset:"fig6" ~op:"risk" () in
           Alcotest.(check int) "first admitted" 202 status;
-          let status, head, body =
-            http_call_full ~port ~meth:"POST" ~target:"/v1/jobs"
+          let status, headers, body =
+            Srv.Client.request ~host:"127.0.0.1" ~port ~meth:"POST"
+              ~target:"/v1/jobs"
               ~body:"{\"dataset\": \"fig6\", \"op\": \"risk\"}" ()
           in
           Alcotest.(check int) "rate limited" 429 status;
           Alcotest.(check (option string)) "typed code"
             (Some "tenant.rate_limited") (error_code body);
           Alcotest.(check bool) "Retry-After advertised" true
-            (Astring_contains.contains head "retry-after:");
+            (List.mem_assoc "retry-after" headers);
           (* another tenant has its own bucket *)
           let status, _ =
             submit_job
@@ -874,7 +830,8 @@ let test_jobs_crash_resume () =
             done_result risk;
           (* the durability counters are on the Prometheus surface *)
           let status, _, prom =
-            http_call_full ~port ~meth:"GET" ~target:"/metrics"
+            Srv.Client.request ~host:"127.0.0.1" ~port ~meth:"GET"
+              ~target:"/metrics"
               ~headers:[ ("accept", "text/plain; version=0.0.4") ]
               ()
           in

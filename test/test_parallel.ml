@@ -124,16 +124,24 @@ let dump_profile engine =
            r.r_bindings r.r_derived r.r_duplicates r.r_nulls r.r_groups)
        (rules (V.Engine.profile engine)))
 
-(* [cap_domains:false] everywhere in this file: engines must exercise
-   the parallel machinery at the requested domain count even on hosts
-   (CI containers, pinned cgroups) with fewer cores — the default cap
-   would silently turn these into sequential runs. *)
-let run_program ?domains source =
-  let program = V.Parser.parse source in
-  let engine = V.Engine.create ?domains ~cap_domains:false program in
+(* Engines in this file borrow an explicit pool: they must exercise the
+   parallel machinery at the requested domain count even on hosts (CI
+   containers, pinned cgroups) with fewer cores, and an engine's own
+   [~domains] is clamped to the host while a borrowed pool never is.
+   [domains = 1] borrows none, so every batch runs inline. *)
+let with_engine ?(domains = 1) program f =
+  let pool =
+    if domains > 1 then Some (Task_pool.create ~domains ()) else None
+  in
+  let engine = V.Engine.create ?pool program in
   Fun.protect
-    ~finally:(fun () -> V.Engine.shutdown engine)
-    (fun () ->
+    ~finally:(fun () ->
+      V.Engine.shutdown engine;
+      Option.iter Task_pool.stop pool)
+    (fun () -> f engine)
+
+let run_program ?domains source =
+  with_engine ?domains (V.Parser.parse source) (fun engine ->
       V.Engine.run engine;
       (dump_database (V.Engine.database engine), dump_profile engine))
 
@@ -210,10 +218,9 @@ let synthetic_skewed =
 
 (* Two rules deriving the same head predicate from disjoint inputs with
    identical payloads: every fact the second job emits is an in-batch
-   duplicate of the first job's, and [out]/[out2] share argument keys
-   so dedup shards see the same key under different predicates. This
-   hammers the sharded phase-2 classification's (pred, key) handling
-   and the cross-job duplicate accounting. *)
+   duplicate of the first job's, and [out]/[out2] share argument
+   arrays under different predicates. This hammers the merge's
+   (pred, arguments) dedup and the cross-job duplicate accounting. *)
 let synthetic_collisions =
   let buf = Buffer.create 16384 in
   for i = 0 to 399 do
@@ -270,15 +277,10 @@ let test_synthetic_byte_identical () =
 
 let test_collision_duplicates_accounted () =
   (* The collision workload's duplicate count must not depend on the
-     domain count: every [b]-derived fact is a duplicate wherever the
-     dedup verdict came from (frozen store, in-batch classification, or
-     the merge's own probe). *)
+     domain count: every [b]-derived fact is a duplicate, whether an
+     inline emission or the merge's replay meets it. *)
   let stats_of domains =
-    let program = V.Parser.parse synthetic_collisions in
-    let engine = V.Engine.create ~domains ~cap_domains:false program in
-    Fun.protect
-      ~finally:(fun () -> V.Engine.shutdown engine)
-      (fun () ->
+    with_engine ~domains (V.Parser.parse synthetic_collisions) (fun engine ->
         V.Engine.run engine;
         V.Engine.stats engine)
   in
@@ -365,10 +367,11 @@ let test_cap_domains_respects_host () =
             (V.Engine.parallelism borrowed)))
 
 let test_budget_interrupt_mid_run_is_batch_prefix () =
-  (* An interrupted parallel run may stop between batches, but it must
-     never expose a torn batch: every predicate's fact list has to be a
-     prefix of the same predicate's list in the completed sequential
-     run, and the interrupt payload must agree with [stats]. *)
+  (* An interrupted run may stop between batches (or, inline, between
+     emissions), but it must never expose a torn batch: every
+     predicate's fact list has to be a prefix of the same predicate's
+     list in the completed sequential run, and the interrupt payload
+     must agree with [stats]. *)
   let same_fact a b =
     Array.length a = Array.length b && Array.for_all2 Value.equal a b
   in
@@ -385,28 +388,58 @@ let test_budget_interrupt_mid_run_is_batch_prefix () =
     (fun () ->
       V.Engine.run full;
       let full_db = V.Engine.database full in
-      let interrupted = V.Engine.create ~domains:4 ~cap_domains:false program in
-      Fun.protect
-        ~finally:(fun () -> V.Engine.shutdown interrupted)
-        (fun () ->
-          let budget = Budget.create ~max_facts:800 () in
-          (match V.Engine.run ~budget interrupted with
-          | () -> Alcotest.fail "fact budget did not interrupt"
-          | exception V.Engine.Interrupted i ->
-            Alcotest.(check int)
-              "interrupt payload consistent with stats"
-              (V.Engine.stats interrupted).V.Engine.facts_derived
-              i.V.Engine.facts_derived);
-          let part_db = V.Engine.database interrupted in
-          List.iter
-            (fun pred ->
-              Alcotest.(check bool)
-                (Printf.sprintf
-                   "%s facts are a prefix of the sequential run's" pred)
-                true
-                (is_prefix (V.Database.facts part_db pred)
-                   (V.Database.facts full_db pred)))
-            (V.Database.predicates part_db)))
+      List.iter
+        (fun domains ->
+          with_engine ~domains program (fun interrupted ->
+              let budget = Budget.create ~max_facts:800 () in
+              (match V.Engine.run ~budget interrupted with
+              | () -> Alcotest.fail "fact budget did not interrupt"
+              | exception V.Engine.Interrupted i ->
+                Alcotest.(check int)
+                  "interrupt payload consistent with stats"
+                  (V.Engine.stats interrupted).V.Engine.facts_derived
+                  i.V.Engine.facts_derived);
+              let part_db = V.Engine.database interrupted in
+              List.iter
+                (fun pred ->
+                  Alcotest.(check bool)
+                    (Printf.sprintf
+                       "%s facts are a prefix of the sequential run's (%d \
+                        domains)"
+                       pred domains)
+                    true
+                    (is_prefix (V.Database.facts part_db pred)
+                       (V.Database.facts full_db pred)))
+                (V.Database.predicates part_db)))
+        [ 1; 4 ])
+
+let test_budget_interrupt_inside_inline_evaluation () =
+  (* At one domain the budget is polled inside rule evaluations, not
+     only between iterations: the band join derives thousands of facts
+     in its first iteration, and a ten-fact ceiling must stop it within
+     a few polls of the ceiling. *)
+  let program = V.Parser.parse synthetic_band in
+  let first_iteration =
+    with_engine program (fun engine ->
+        V.Engine.run engine;
+        (V.Engine.stats engine).V.Engine.facts_derived)
+  in
+  with_engine program (fun engine ->
+      let budget = Budget.create ~max_facts:10 () in
+      match V.Engine.run ~budget engine with
+      | () -> Alcotest.fail "fact ceiling did not interrupt"
+      | exception V.Engine.Interrupted i ->
+        Alcotest.(check int)
+          "interrupt payload consistent with stats"
+          (V.Engine.stats engine).V.Engine.facts_derived
+          i.V.Engine.facts_derived;
+        Alcotest.(check int) "stopped inside the first iteration" 1
+          i.V.Engine.iteration;
+        Alcotest.(check bool)
+          (Printf.sprintf "%d facts, far below the iteration's %d"
+             i.V.Engine.facts_derived first_iteration)
+          true
+          (i.V.Engine.facts_derived * 20 < first_iteration))
 
 (* --- joinstate bank -------------------------------------------------------- *)
 
@@ -472,6 +505,165 @@ let test_pool_reuse_across_engines () =
         "engine shutdown leaves borrowed pool running" false
         (Task_pool.stopped pool))
 
+(* --- random programs: domains 1/2/4 and incremental ≡ scratch ------------- *)
+
+(* A generated case: 2–4 rule templates over three binary EDB relations
+   (e0, e1, e2) on 50 constants. Rule [i] defines [p<i>] from the EDB
+   relations and [p0 .. p<i-1>], so every program is stratified and its
+   chase terminates: the one existential head is never recursive, and
+   negation reads only earlier predicates. Labelled nulls never reach
+   arithmetic, comparisons or [msum] (those raise on nulls): such rules
+   read only null-free predicates. Each relation gets at least 650
+   facts, so the first iteration's batches cross the engine's parallel
+   work threshold. [split] sends each fact to the base or the delta of
+   the incremental run. *)
+type rcase = {
+  rules : string list;  (* Vadalog source, one rule template each *)
+  facts : (string * int * int) list;
+  split : bool list;  (* true: the fact arrives in the delta *)
+  inc_domains : int;  (* domains of the incremental run *)
+}
+
+type template = Copy | Swap | Join | Rec | Exist | Neg | Msum | Arith
+
+(* Templates a program may use at most once. *)
+let single = [ Exist; Neg; Msum ]
+
+let gen_rules =
+  let open QCheck2.Gen in
+  let edb = [ "e0"; "e1"; "e2" ] in
+  (* [preds]: (predicate, may hold nulls), EDB first. *)
+  let rec go i n used preds acc =
+    if i = n then return (List.rev acc)
+    else
+      let p = Printf.sprintf "p%d" i in
+      let* kind =
+        oneofl
+          (List.filter
+             (fun k -> not (List.mem k used))
+             [ Copy; Swap; Join; Rec; Exist; Neg; Msum; Arith ])
+      in
+      let reads_values = List.mem kind [ Copy; Msum; Arith ] in
+      let* a, nullable =
+        oneofl
+          (List.filter (fun (_, nullable) -> not (reads_values && nullable))
+             preds)
+      and* b = oneofl edb
+      and* c = map fst (oneofl preds)
+      and* k = int_range 5 45
+      and* threshold = int_range 50 400 in
+      let rule =
+        match kind with
+        | Copy -> Printf.sprintf "%s(X, Y) :- %s(X, Y), X < %d." p a k
+        | Swap -> Printf.sprintf "%s(Y, X) :- %s(X, Y)." p a
+        | Join -> Printf.sprintf "%s(X, Z) :- %s(X, Y), %s(Y, Z)." p a b
+        | Rec ->
+          Printf.sprintf "%s(X, Y) :- %s(X, Y).\n%s(X, Z) :- %s(X, Y), %s(Y, Z)."
+            p a p p b
+        | Exist -> Printf.sprintf "%s(X, N) :- %s(X, Y)." p a
+        | Neg -> Printf.sprintf "%s(X, Y) :- %s(X, Y), not %s(Y, X)." p a c
+        | Msum ->
+          Printf.sprintf "%s(X, Z) :- %s(X, Y), %s(Y, Z), msum(Y, <Y>) > %d." p
+            a b threshold
+        | Arith -> Printf.sprintf "%s(X, W) :- %s(X, Y), W = X + Y." p a
+      in
+      go (i + 1) n
+        (if List.mem kind single then kind :: used else used)
+        (preds @ [ (p, nullable || kind = Exist) ])
+        (rule :: acc)
+  in
+  let* n = int_range 2 4 in
+  go 0 n [] (List.map (fun e -> (e, false)) edb) []
+
+(* Only the rules and [inc_domains] shrink: every shrink step runs five
+   chases, and a counterexample reads best as the fewest, simplest rules
+   over the original data. *)
+let gen_rcase =
+  let open QCheck2.Gen in
+  let relation pred =
+    list_size (int_range 650 700)
+      (map (fun (x, y) -> (pred, x, y)) (pair (int_bound 49) (int_bound 49)))
+  in
+  let data =
+    no_shrink
+      (let* e0 = relation "e0" and* e1 = relation "e1" and* e2 = relation "e2" in
+       let facts = e0 @ e1 @ e2 in
+       let+ split = list_repeat (List.length facts) bool in
+       (facts, split))
+  in
+  let+ rules = gen_rules
+  and+ facts, split = data
+  and+ inc_domains = oneofl [ 1; 2 ] in
+  { rules; facts; split; inc_domains }
+
+let print_rcase c =
+  Printf.sprintf "%s\n%% %d EDB facts, %d in the delta, incremental at %d domains"
+    (String.concat "\n" c.rules) (List.length c.facts)
+    (List.length (List.filter Fun.id c.split))
+    c.inc_domains
+
+let prop_random_programs pools c =
+  let rules = V.Parser.parse (String.concat "\n" c.rules) in
+  let program facts =
+    V.Program.union rules
+      (V.Program.make
+         ~facts:
+           (List.map (fun (p, x, y) -> (p, [| Value.Int x; Value.Int y |])) facts)
+         [])
+  in
+  let run pool =
+    let engine = V.Engine.create ?pool (program c.facts) in
+    V.Engine.run engine;
+    engine
+  in
+  let scratch = run None in
+  let seq = (dump_database (V.Engine.database scratch), dump_profile scratch) in
+  List.iter
+    (fun (d, pool) ->
+      let engine = run (Some pool) in
+      if (dump_database (V.Engine.database engine), dump_profile engine) <> seq
+      then QCheck2.Test.fail_reportf "database or profile differs at %d domains" d)
+    pools;
+  let base, delta =
+    List.partition_map
+      (fun (fact, in_delta) -> if in_delta then Right fact else Left fact)
+      (List.combine c.facts c.split)
+  in
+  let engine =
+    V.Engine.create ?pool:(List.assoc_opt c.inc_domains pools) (program base)
+  in
+  V.Engine.run engine;
+  let snapshot = V.Engine.snapshot engine in
+  List.iter
+    (fun (p, x, y) -> V.Engine.add_fact engine p [ Value.Int x; Value.Int y ])
+    delta;
+  match V.Engine.run_incremental ~snapshot engine with
+  | _ ->
+    String.equal (V.Canonical.of_engine engine) (V.Canonical.of_engine scratch)
+    || QCheck2.Test.fail_reportf "incremental run differs from scratch"
+  | exception V.Engine.Invalidated _ -> true
+
+let test_random_programs () =
+  (* Count chunk tasks: the property is only worth its cost if some
+     generated cases really take the parallel path. *)
+  Faultpoint.reset ();
+  (match Faultpoint.arm_spec "engine.chunk:delay=0ms" with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail (E.to_string e));
+  let pools = List.map (fun d -> (d, Task_pool.create ~domains:d ())) [ 2; 4 ] in
+  Fun.protect
+    ~finally:(fun () ->
+      Faultpoint.reset ();
+      List.iter (fun (_, pool) -> Task_pool.stop pool) pools)
+    (fun () ->
+      QCheck2.Test.check_exn ~rand:(Random.State.make [| 14 |])
+        (QCheck2.Test.make ~count:20 ~print:print_rcase
+           ~name:"random programs: domains 1/2/4 identical, incremental = scratch"
+           gen_rcase (prop_random_programs pools));
+      Alcotest.(check bool)
+        "some cases run chunked parallel batches" true
+        (Faultpoint.hit_count "engine.chunk" > 0))
+
 (* --- reasoned risk across domain counts ----------------------------------- *)
 
 let test_risk_via_engine_identical () =
@@ -502,11 +694,7 @@ let test_risk_via_engine_identical () =
    dump linear in the database size on recursive programs and also
    pins the [Unknown] cut to the same facts at every domain count. *)
 let provenance_dump ?domains source =
-  let program = V.Parser.parse source in
-  let engine = V.Engine.create ?domains ~cap_domains:false program in
-  Fun.protect
-    ~finally:(fun () -> V.Engine.shutdown engine)
-    (fun () ->
+  with_engine ?domains (V.Parser.parse source) (fun engine ->
       V.Engine.run engine;
       let db = V.Engine.database engine in
       let buf = Buffer.create 8192 in
@@ -546,11 +734,7 @@ let test_chunk_fault_typed_error () =
   | Ok () -> ()
   | Error e -> Alcotest.fail (E.to_string e));
   Fun.protect ~finally:Faultpoint.reset (fun () ->
-      let program = V.Parser.parse synthetic_tc in
-      let engine = V.Engine.create ~domains:4 ~cap_domains:false program in
-      Fun.protect
-        ~finally:(fun () -> V.Engine.shutdown engine)
-        (fun () ->
+      with_engine ~domains:4 (V.Parser.parse synthetic_tc) (fun engine ->
           match V.Engine.run engine with
           | () -> Alcotest.fail "armed chunk fault did not fire"
           | exception E.Error err ->
@@ -563,11 +747,7 @@ let test_stratum_fault_typed_error () =
   | Ok () -> ()
   | Error e -> Alcotest.fail (E.to_string e));
   Fun.protect ~finally:Faultpoint.reset (fun () ->
-      let program = V.Parser.parse synthetic_tc in
-      let engine = V.Engine.create ~domains:4 ~cap_domains:false program in
-      Fun.protect
-        ~finally:(fun () -> V.Engine.shutdown engine)
-        (fun () ->
+      with_engine ~domains:4 (V.Parser.parse synthetic_tc) (fun engine ->
           match V.Engine.run engine with
           | () -> Alcotest.fail "armed stratum fault did not fire"
           | exception E.Error err ->
@@ -577,11 +757,7 @@ let test_stratum_fault_typed_error () =
 let test_budget_interrupt_parallel () =
   (* A zero-fact budget must interrupt a multi-domain chase with the
      same structured payload the sequential engine raises. *)
-  let program = V.Parser.parse synthetic_tc in
-  let engine = V.Engine.create ~domains:4 ~cap_domains:false program in
-  Fun.protect
-    ~finally:(fun () -> V.Engine.shutdown engine)
-    (fun () ->
+  with_engine ~domains:4 (V.Parser.parse synthetic_tc) (fun engine ->
       let budget = Budget.create ~max_facts:10 () in
       match V.Engine.run ~budget engine with
       | () -> Alcotest.fail "fact ceiling did not interrupt"
@@ -627,6 +803,8 @@ let () =
             test_risk_via_engine_identical;
           Alcotest.test_case "derivation trees, domains 1/2/4" `Slow
             test_provenance_byte_identical;
+          Alcotest.test_case "random programs, domains 1/2/4 and incremental"
+            `Slow test_random_programs;
         ] );
       ( "joinstate",
         [
@@ -645,5 +823,7 @@ let () =
             test_budget_interrupt_parallel;
           Alcotest.test_case "interrupted run is a batch prefix" `Quick
             test_budget_interrupt_mid_run_is_batch_prefix;
+          Alcotest.test_case "budget polled inside inline evaluation" `Quick
+            test_budget_interrupt_inside_inline_evaluation;
         ] );
     ]
