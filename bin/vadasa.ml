@@ -32,13 +32,41 @@ let setup_logs verbose =
   Logs.set_reporter (Logs_fmt.reporter ());
   Logs.set_level (if verbose then Some Logs.Debug else Some Logs.Warning)
 
+(* ---- argument converters ---------------------------------------------- *)
+
+(* [conv] restricted to the values [ok] accepts: an out-of-range flag is
+   a Cmdliner usage error, exactly like a malformed one. *)
+let bounded conv ~ok ~expected =
+  let parse s =
+    match Arg.conv_parser conv s with
+    | Ok v when ok v -> Ok v
+    | Ok _ ->
+      Error (`Msg (Printf.sprintf "invalid value '%s', expected %s" s expected))
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Arg.conv_printer conv)
+
+let pos_int = bounded Arg.int ~ok:(fun n -> n >= 1) ~expected:"an integer >= 1"
+
+(* [KEY=VALUE] flags, split at the first '='. *)
+let pair_conv ~expected =
+  let parse s =
+    match String.index_opt s '=' with
+    | Some i ->
+      Ok (String.sub s 0 i, String.sub s (i + 1) (String.length s - i - 1))
+    | None -> Error (`Msg ("expected " ^ expected))
+  in
+  Arg.conv (parse, fun ppf (k, v) -> Format.fprintf ppf "%s=%s" k v)
+
 let verbose_arg =
   Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Enable debug logging.")
 
 let metrics_arg =
   Arg.(
     value
-    & opt ~vopt:(Some "text") (some string) None
+    & opt ~vopt:(Some `Text)
+        (some (enum [ ("text", `Text); ("json", `Json) ]))
+        None
     & info [ "metrics" ] ~docv:"FMT"
         ~doc:
           "Collect telemetry (engine counters, per-phase spans, I/O \
@@ -66,9 +94,13 @@ let trace_arg =
            $(b,--trace-format).")
 
 let trace_format_arg =
+  let parse s =
+    Result.map_error (fun m -> `Msg m) (T.trace_format_of_string s)
+  in
+  let print ppf f = Format.pp_print_string ppf (T.trace_format_to_string f) in
   Arg.(
     value
-    & opt string "json"
+    & opt (conv (parse, print)) T.Events
     & info [ "trace-format" ] ~docv:"FMT"
         ~doc:
           "Rendering for $(b,--trace) FILE: $(b,json) (native span-event \
@@ -79,7 +111,9 @@ let trace_format_arg =
 let span_limit_arg =
   Arg.(
     value
-    & opt (some int) None
+    & opt
+        (some (bounded int ~ok:(fun n -> n >= 0) ~expected:"an integer >= 0"))
+        None
     & info [ "span-limit" ] ~docv:"N"
         ~doc:
           "Retain at most N finished telemetry spans (default 100000); \
@@ -89,7 +123,7 @@ let span_limit_arg =
 let deadline_arg =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some pos_int) None
     & info [ "deadline" ] ~docv:"MS"
         ~doc:
           "Wall-clock budget for the run's reasoning work, in \
@@ -100,12 +134,23 @@ let deadline_arg =
 let max_facts_arg =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some pos_int) None
     & info [ "max-facts" ] ~docv:"N"
         ~doc:
           "Ceiling on chase-derived facts. Like $(b,--deadline), hitting \
            it degrades the result instead of failing; under $(b,serve) it \
            becomes the server-wide per-request ceiling.")
+
+(* Append [line] plus a newline to [oc] under a mutex: worker domains
+   emit lines concurrently. Returns the writer and the closer. *)
+let line_sink oc =
+  let mutex = Mutex.create () in
+  ( (fun line ->
+      Mutex.protect mutex (fun () ->
+          output_string oc line;
+          output_char oc '\n';
+          flush oc)),
+    fun () -> close_out oc )
 
 (* Shared preamble of every subcommand: logging, telemetry, fault-point
    arming ($VADASA_FAULTS), and the run's work budget. Returns the
@@ -117,74 +162,19 @@ let max_facts_arg =
 let telemetry_setup verbose metrics metrics_out trace trace_format span_limit
     deadline_ms max_facts =
   setup_logs verbose;
-  (match Faultpoint.arm_from_env () with
-  | Ok () -> ()
-  | Error e ->
-    Printf.eprintf "error[%s]: %s\n" e.E.code e.E.message;
-    exit 2);
-  (match deadline_ms with
-  | Some ms when ms < 1 ->
-    Printf.eprintf "error: --deadline must be >= 1 (milliseconds)\n";
-    exit 2
-  | _ -> ());
-  (match max_facts with
-  | Some n when n < 1 ->
-    Printf.eprintf "error: --max-facts must be >= 1\n";
-    exit 2
-  | _ -> ());
-  let fmt =
-    match metrics with
-    | None -> `None
-    | Some "json" -> `Json
-    | Some "text" -> `Text
-    | Some other ->
-      Printf.eprintf "error: unknown metrics format %s (use text or json)\n"
-        other;
-      exit 1
-  in
-  let tfmt =
-    match T.trace_format_of_string trace_format with
-    | Ok f -> f
-    | Error message ->
-      Printf.eprintf "error: %s\n" message;
-      exit 1
-  in
-  (match span_limit with
-  | Some n when n < 0 ->
-    Printf.eprintf "error: --span-limit must be non-negative\n";
-    exit 1
-  | Some n -> T.set_span_limit T.global n
-  | None -> ());
+  E.get_ok (Faultpoint.arm_from_env ());
+  Option.iter (T.set_span_limit T.global) span_limit;
   let sink, close_sink =
     match metrics_out with
     | None -> (None, fun () -> ())
     | Some path ->
-      let oc =
-        try open_out path
-        with Sys_error message ->
-          Printf.eprintf "error: cannot open --metrics-out file: %s\n" message;
-          exit 1
-      in
-      let mutex = Mutex.create () in
-      ( Some
-          (fun line ->
-            Mutex.lock mutex;
-            output_string oc line;
-            output_char oc '\n';
-            flush oc;
-            Mutex.unlock mutex),
-        fun () -> close_out oc )
+      let write, close = line_sink (open_out path) in
+      (Some write, close)
   in
-  if fmt <> `None || metrics_out <> None || trace <> None then
+  if metrics <> None || metrics_out <> None || trace <> None then
     T.set_enabled true;
   let finish () =
-    (match trace with
-    | Some path -> (
-      try T.write_trace_as tfmt T.global path
-      with Sys_error message ->
-        Printf.eprintf "error: cannot write trace: %s\n" message;
-        exit 1)
-    | None -> ());
+    Option.iter (T.write_trace_as trace_format T.global) trace;
     let dropped = T.Span.dropped T.global in
     if dropped > 0 then
       Printf.eprintf
@@ -196,12 +186,12 @@ let telemetry_setup verbose metrics metrics_out trace trace_format span_limit
       write (T.Json.to_string (T.Report.to_json (T.Report.capture T.global)))
     | None -> ());
     close_sink ();
-    match fmt with
-    | `None -> ()
-    | `Json ->
+    match metrics with
+    | None -> ()
+    | Some `Json ->
       prerr_endline
         (T.Json.to_string ~indent:true (T.Report.to_json (T.Report.capture T.global)))
-    | `Text -> prerr_string (T.Report.to_text (T.Report.capture T.global))
+    | Some `Text -> prerr_string (T.Report.to_text (T.Report.capture T.global))
   in
   (finish, sink, (deadline_ms, max_facts))
 
@@ -232,36 +222,13 @@ let warn_degraded (i : V.Engine.interrupt) =
     (Budget.reason_code i.V.Engine.reason)
     i.V.Engine.stratum i.V.Engine.iteration i.V.Engine.facts_derived
 
-let load_microdata ~path ~overrides =
+(* The CSV at [path] (R.Csv.load keeps the file in a CSV error's
+   context), categorized by the decoder /v1 payloads go through. *)
+let load_microdata path options =
   let name = Filename.remove_extension (Filename.basename path) in
-  let rel = R.Csv.load ~name path in
-  let overrides =
-    List.filter_map
-      (fun (attr, cat) ->
-        Option.map (fun c -> (attr, c)) (S.Microdata.category_of_string cat))
-      overrides
-  in
-  match S.Categorize.categorize_microdata ~overrides rel with
-  | Ok md -> md
-  | Error message ->
-    E.fail ~code:"categorize.failed" E.Wardedness message
-      ~context:
-        [
-          ( "hint",
-            "pass --category \
-             attr=identifier|quasi-identifier|non-identifying|weight" );
-        ]
+  E.get_ok (Srv.Codec.microdata_of_relation options (R.Csv.load ~name path))
 
-let parse_measure measure k threshold_size =
-  match measure with
-  | "k-anonymity" -> S.Risk.K_anonymity { k }
-  | "re-identification" -> S.Risk.Re_identification
-  | "individual" -> S.Risk.Individual S.Risk.Benedetti_franconi
-  | "individual-naive" -> S.Risk.Individual S.Risk.Naive
-  | "suda" -> S.Risk.Suda { max_msu_size = 3; threshold_size }
-  | other ->
-    E.fail ~code:"measure.unknown" E.Wardedness ("unknown measure " ^ other)
-      ~context:[ ("measure", other) ]
+let read_file path = In_channel.with_open_bin path In_channel.input_all
 
 (* ---- arguments --------------------------------------------------------- *)
 
@@ -278,44 +245,59 @@ let output_arg =
     & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Output CSV path (default: stdout).")
 
 let category_arg =
-  let parse s =
-    match String.index_opt s '=' with
-    | Some i ->
-      Ok (String.sub s 0 i, String.sub s (i + 1) (String.length s - i - 1))
-    | None -> Error (`Msg "expected attr=category")
-  in
-  let print ppf (a, c) = Format.fprintf ppf "%s=%s" a c in
   Arg.(
     value
-    & opt_all (conv (parse, print)) []
+    & opt_all (pair_conv ~expected:"attr=category") []
     & info [ "category" ] ~docv:"ATTR=CAT"
         ~doc:
           "Expert category override (identifier, quasi-identifier, \
            non-identifying, weight). Repeatable.")
 
-let measure_arg =
-  Arg.(
-    value
-    & opt string "k-anonymity"
-    & info [ "measure" ] ~docv:"MEASURE"
-        ~doc:
-          "Risk measure: k-anonymity, re-identification, individual, \
-           individual-naive, suda.")
+let defaults = Srv.Codec.default_options
 
-let k_arg =
-  Arg.(value & opt int 2 & info [ "k" ] ~docv:"K" ~doc:"k-anonymity threshold.")
-
-let threshold_arg =
-  Arg.(
-    value
-    & opt float 0.5
-    & info [ "threshold" ] ~docv:"T" ~doc:"Risk threshold T in [0,1].")
-
-let msu_arg =
-  Arg.(
-    value
-    & opt int 3
-    & info [ "msu-threshold" ] ~docv:"N" ~doc:"SUDA minimal-sample-unique size threshold.")
+(* The SDC flags as one [Codec.options], starting from the defaults the
+   server uses: the CLI decodes them through the same [Codec] functions
+   as a /v1 request. *)
+let options_term =
+  let measure =
+    Arg.(
+      value
+      & opt string defaults.Srv.Codec.measure
+      & info [ "measure" ] ~docv:"MEASURE"
+          ~doc:
+            "Risk measure: k-anonymity, re-identification, individual, \
+             individual-naive, suda.")
+  in
+  let k =
+    Arg.(
+      value
+      & opt int defaults.Srv.Codec.k
+      & info [ "k" ] ~docv:"K" ~doc:"k-anonymity threshold.")
+  in
+  let threshold =
+    Arg.(
+      value
+      & opt float defaults.Srv.Codec.threshold
+      & info [ "threshold" ] ~docv:"T" ~doc:"Risk threshold T in [0,1].")
+  in
+  let msu_threshold =
+    Arg.(
+      value
+      & opt int defaults.Srv.Codec.msu_threshold
+      & info [ "msu-threshold" ] ~docv:"N"
+          ~doc:"SUDA minimal-sample-unique size threshold.")
+  in
+  Term.(
+    const (fun categories measure k threshold msu_threshold ->
+        {
+          defaults with
+          Srv.Codec.categories;
+          measure;
+          k;
+          threshold;
+          msu_threshold;
+        })
+    $ category_arg $ measure $ k $ threshold $ msu_threshold)
 
 let seed_arg =
   Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Random seed.")
@@ -323,20 +305,13 @@ let seed_arg =
 let engine_domains_arg =
   Arg.(
     value
-    & opt int 1
+    & opt pos_int 1
     & info [ "domains" ] ~docv:"N"
         ~doc:
           "Evaluate the chase across N OCaml domains (default 1 = \
            sequential). The result is byte-identical for any N — parallel \
            evaluation merges worker derivations in sequential order. Only \
-           reasoning-engine work parallelizes; native paths (e.g. the \
-           anonymization cycle) ignore it. See docs/PERFORMANCE.md.")
-
-let check_domains domains =
-  if domains < 1 then begin
-    Printf.eprintf "error: --domains must be >= 1\n";
-    exit 2
-  end
+           reasoning-engine work parallelizes. See docs/PERFORMANCE.md.")
 
 let write_csv rel = function
   | None -> print_string (R.Csv.write_string rel)
@@ -350,7 +325,9 @@ let generate_cmd =
   let dataset =
     Arg.(
       value
-      & opt string "R25A4W"
+      & opt
+          (enum (List.map (fun e -> (e.D.Suite.dataset, e)) D.Suite.figure6))
+          (Option.get (D.Suite.find "R25A4W"))
       & info [ "dataset" ] ~docv:"NAME"
           ~doc:"Figure 6 dataset name (R6A4U ... R100A4U).")
   in
@@ -366,13 +343,9 @@ let generate_cmd =
   let run (finish, _, _) dataset scale output list_flag =
     if list_flag then Format.printf "%a" D.Suite.pp_table ()
     else
-      (match D.Suite.find dataset with
-      | None ->
-        Printf.eprintf "error: unknown dataset %s (try --list)\n" dataset;
-        exit 1
-      | Some entry ->
-        let md = D.Suite.load_entry ~scale entry in
-        write_csv (S.Microdata.relation md) output);
+      write_csv
+        (S.Microdata.relation (D.Suite.load_entry ~scale dataset))
+        output;
     finish ()
   in
   Cmd.v
@@ -444,11 +417,10 @@ let risk_cmd =
              text summary — the exact bytes the server's POST /v1/risk \
              returns for the same input.")
   in
-  let run (finish, _, limits) input categories measure k threshold msu_threshold
-      explain reasoned json domains =
-    check_domains domains;
-    let md = load_microdata ~path:input ~overrides:categories in
-    let measure = parse_measure measure k msu_threshold in
+  let run (finish, _, limits) input options explain reasoned json domains =
+    let md = load_microdata input options in
+    let measure = E.get_ok (Srv.Codec.measure_of_options options) in
+    let threshold = options.Srv.Codec.threshold in
     let report = S.Risk.estimate measure md in
     if json then print_string (Srv.Codec.risk_report_string ~threshold md report)
     else print_string (S.Explain.summary md report ~threshold);
@@ -458,7 +430,7 @@ let risk_cmd =
       match
         S.Vadalog_bridge.risk_via_engine
           ?budget:(budget_of_limits limits)
-          ~domains ~threshold measure md
+          ~domains measure md
       with
       | engine_risks ->
         let max_diff = ref 0.0 in
@@ -490,9 +462,8 @@ let risk_cmd =
   Cmd.v
     (Cmd.info "risk" ~doc:"Estimate statistical disclosure risk for a CSV")
     Term.(
-      const run $ common_term $ input_arg $ category_arg $ measure_arg $ k_arg
-      $ threshold_arg $ msu_arg $ explain $ reasoned_flag $ json_flag
-      $ engine_domains_arg)
+      const run $ common_term $ input_arg $ options_term $ explain
+      $ reasoned_flag $ json_flag $ engine_domains_arg)
 
 (* ---- anonymize --------------------------------------------------------------- *)
 
@@ -500,14 +471,14 @@ let anonymize_cmd =
   let method_arg =
     Arg.(
       value
-      & opt string "suppress"
+      & opt string defaults.Srv.Codec.method_
       & info [ "method" ] ~docv:"METHOD"
           ~doc:"suppress (labelled nulls) or recode (synthetic hierarchy roll-up).")
   in
   let semantics_arg =
     Arg.(
       value
-      & opt string "maybe-match"
+      & opt string defaults.Srv.Codec.semantics
       & info [ "semantics" ] ~docv:"SEM"
           ~doc:"Labelled-null semantics: maybe-match or standard.")
   in
@@ -528,37 +499,11 @@ let anonymize_cmd =
              applied, cells affected, violations remaining, info-loss delta. \
              Schema in docs/OBSERVABILITY.md; validated by tools/auditcheck.")
   in
-  let run (finish, _, limits) input categories measure k threshold msu_threshold
-      method_ semantics output narrative audit domains =
-    (* Accepted for CLI uniformity: the native anonymization cycle is
-       engine-free, so the flag only matters for reasoned paths. *)
-    check_domains domains;
-    let md = load_microdata ~path:input ~overrides:categories in
-    let semantics =
-      match R.Null_semantics.of_string semantics with
-      | Some s -> s
-      | None ->
-        Printf.eprintf "error: unknown semantics %s\n" semantics;
-        exit 1
-    in
-    let method_ =
-      match method_ with
-      | "suppress" -> S.Cycle.Local_suppression
-      | "recode" ->
-        S.Cycle.Recode_then_suppress (D.Generator.synthetic_hierarchy md)
-      | other ->
-        Printf.eprintf "error: unknown method %s\n" other;
-        exit 1
-    in
-    let config =
-      {
-        S.Cycle.default_config with
-        S.Cycle.measure = parse_measure measure k msu_threshold;
-        threshold;
-        semantics;
-        method_;
-      }
-    in
+  let run (finish, _, limits) input options method_ semantics output narrative
+      audit =
+    let options = { options with Srv.Codec.method_; semantics } in
+    let md = load_microdata input options in
+    let config = E.get_ok (Srv.Codec.cycle_config_of_options options md) in
     let recorder = Option.map (fun _ -> S.Audit.recorder ()) audit in
     let outcome =
       S.Cycle.run ~config ?audit:recorder ?budget:(budget_of_limits limits) md
@@ -586,15 +531,16 @@ let anonymize_cmd =
     (Cmd.info "anonymize"
        ~doc:"Run the anonymization cycle on a CSV until the risk threshold holds")
     Term.(
-      const run $ common_term $ input_arg $ category_arg $ measure_arg $ k_arg
-      $ threshold_arg $ msu_arg $ method_arg $ semantics_arg $ output_arg
-      $ narrative_flag $ audit_arg $ engine_domains_arg)
+      const run $ common_term $ input_arg $ options_term $ method_arg
+      $ semantics_arg $ output_arg $ narrative_flag $ audit_arg)
 
 (* ---- attack --------------------------------------------------------------------- *)
 
 let attack_cmd =
   let run (finish, _, limits) input categories seed =
-    let md = load_microdata ~path:input ~overrides:categories in
+    let md =
+      load_microdata input { defaults with Srv.Codec.categories = categories }
+    in
     let rng = Vadasa_stats.Rng.create ~seed in
     let oracle = L.Oracle.from_microdata rng md () in
     Printf.printf "identity oracle: %d records\n" (L.Oracle.cardinal oracle);
@@ -613,24 +559,10 @@ let attack_cmd =
 
 (* ---- reason --------------------------------------------------------------------- *)
 
-let read_file path =
-  let ic = open_in path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
 let csv_facts_arg =
-  let parse s =
-    match String.index_opt s '=' with
-    | Some i ->
-      Ok (String.sub s 0 i, String.sub s (i + 1) (String.length s - i - 1))
-    | None -> Error (`Msg "expected pred=path.csv")
-  in
-  let print ppf (p, f) = Format.fprintf ppf "%s=%s" p f in
   Arg.(
     value
-    & opt_all (conv (parse, print)) []
+    & opt_all (pair_conv ~expected:"pred=path.csv") []
     & info [ "csv-facts" ] ~docv:"PRED=FILE"
         ~doc:
           "Load a CSV file (with header) as facts of the given predicate, \
@@ -671,7 +603,6 @@ let reason_cmd =
     Arg.(value & flag & info [ "check-warded" ] ~doc:"Print the wardedness analysis.")
   in
   let run (finish, _, limits) path queries explain warded csv_facts domains =
-    check_domains domains;
     let program = load_program path csv_facts in
     if warded then
       Format.printf "%a@." V.Wardedness.pp_report (V.Wardedness.analyze program);
@@ -727,7 +658,7 @@ let explain_cmd =
   let max_depth_arg =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some pos_int) None
       & info [ "max-depth" ] ~docv:"N"
           ~doc:
             "Cut the derivation tree below N levels (default 12); cut \
@@ -743,17 +674,7 @@ let explain_cmd =
              program and fact.")
   in
   let run (finish, _, limits) path fact json max_depth csv_facts domains =
-    check_domains domains;
-    (match max_depth with
-    | Some n when n < 1 ->
-      Printf.eprintf "error: --max-depth must be >= 1\n";
-      exit 2
-    | _ -> ());
-    let pred, args =
-      match Srv.Codec.parse_fact fact with
-      | Ok f -> f
-      | Error e -> raise (E.Error e)
-    in
+    let pred, args = E.get_ok (Srv.Codec.parse_fact fact) in
     let program = load_program path csv_facts in
     let engine = V.Engine.create ~domains program in
     (match V.Engine.run ?budget:(budget_of_limits limits) engine with
@@ -808,7 +729,6 @@ let profile_cmd =
           ~doc:"Emit the profile as JSON on stdout instead of the table.")
   in
   let run (finish, _, limits) path top json_out csv_facts domains =
-    check_domains domains;
     let program = load_program path csv_facts in
     (* The profiler itself is always on; arm the global registry too so
        the run records the engine.run/engine.stratum.* spans the table
@@ -881,13 +801,13 @@ let serve_cmd =
   let domains_arg =
     Arg.(
       value
-      & opt int 4
+      & opt pos_int 4
       & info [ "domains" ] ~docv:"N" ~doc:"Worker pool size (OCaml domains).")
   in
   let engine_domains_arg =
     Arg.(
       value
-      & opt int 1
+      & opt pos_int 1
       & info [ "engine-domains" ] ~docv:"N"
           ~doc:
             "Size of the shared parallel-chase pool (default 1 = \
@@ -899,7 +819,7 @@ let serve_cmd =
   let queue_arg =
     Arg.(
       value
-      & opt int 128
+      & opt pos_int 128
       & info [ "queue" ] ~docv:"N"
           ~doc:
             "Bounded job-queue capacity; connections beyond it are answered \
@@ -924,7 +844,7 @@ let serve_cmd =
   let registry_capacity_arg =
     Arg.(
       value
-      & opt int 16
+      & opt pos_int 16
       & info [ "registry-capacity" ] ~docv:"N"
           ~doc:
             "Most datasets the registry keeps registered at once \
@@ -957,7 +877,7 @@ let serve_cmd =
   let snapshot_every_arg =
     Arg.(
       value
-      & opt int 64
+      & opt pos_int 64
       & info [ "snapshot-every" ] ~docv:"N"
           ~doc:
             "Write a snapshot (and truncate the journal) every N committed \
@@ -966,7 +886,7 @@ let serve_cmd =
   let job_domains_arg =
     Arg.(
       value
-      & opt int 2
+      & opt pos_int 2
       & info [ "job-domains" ] ~docv:"N"
           ~doc:
             "Async job worker pool size ($(b,POST /v1/jobs)); spawned \
@@ -975,7 +895,7 @@ let serve_cmd =
   let job_queue_arg =
     Arg.(
       value
-      & opt int 64
+      & opt pos_int 64
       & info [ "job-queue" ] ~docv:"N"
           ~doc:
             "Bounded async-job queue; submissions beyond it answer 503 \
@@ -984,7 +904,7 @@ let serve_cmd =
   let tenant_quota_arg =
     Arg.(
       value
-      & opt int 16
+      & opt pos_int 16
       & info [ "tenant-quota" ] ~docv:"N"
           ~doc:
             "Most queued+running jobs a single tenant may hold; beyond it \
@@ -993,7 +913,7 @@ let serve_cmd =
   let job_retain_arg =
     Arg.(
       value
-      & opt int 256
+      & opt pos_int 256
       & info [ "job-retain" ] ~docv:"N"
           ~doc:
             "Most terminal (done/failed/cancelled/orphaned) jobs kept per \
@@ -1003,7 +923,9 @@ let serve_cmd =
   let tenant_rate_arg =
     Arg.(
       value
-      & opt float 50.0
+      & opt
+          (bounded float ~ok:(fun r -> r > 0.0) ~expected:"a number > 0")
+          50.0
       & info [ "tenant-rate" ] ~docv:"R"
           ~doc:
             "Per-tenant job submission rate (token bucket, R tokens per \
@@ -1013,14 +935,16 @@ let serve_cmd =
   let tenant_burst_arg =
     Arg.(
       value
-      & opt float 100.0
+      & opt
+          (bounded float ~ok:(fun b -> b >= 1.0) ~expected:"a number >= 1")
+          100.0
       & info [ "tenant-burst" ] ~docv:"B"
           ~doc:"Token-bucket burst capacity for $(b,--tenant-rate).")
   in
   let trace_sample_arg =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some pos_int) None
       & info [ "trace-sample" ] ~docv:"N"
           ~doc:
             "Dump every Nth request's full span tree as a JSON line on the \
@@ -1030,7 +954,7 @@ let serve_cmd =
   let slow_ms_arg =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some pos_int) None
       & info [ "slow-ms" ] ~docv:"MS"
           ~doc:
             "Slow-request log: any request slower than MS milliseconds dumps \
@@ -1044,50 +968,6 @@ let serve_cmd =
       timeout max_body registry_capacity dataset_audit data_dir snapshot_every
       job_domains job_queue tenant_quota job_retain tenant_rate tenant_burst
       trace_sample slow_ms =
-    if domains < 1 then begin
-      Printf.eprintf "error: --domains must be >= 1\n";
-      exit 1
-    end;
-    if snapshot_every < 1 then begin
-      Printf.eprintf "error: --snapshot-every must be >= 1\n";
-      exit 1
-    end;
-    if job_domains < 1 || job_queue < 1 then begin
-      Printf.eprintf "error: --job-domains and --job-queue must be >= 1\n";
-      exit 1
-    end;
-    if tenant_quota < 1 || tenant_rate <= 0.0 || tenant_burst < 1.0 then begin
-      Printf.eprintf
-        "error: --tenant-quota must be >= 1, --tenant-rate > 0, \
-         --tenant-burst >= 1\n";
-      exit 1
-    end;
-    if job_retain < 1 then begin
-      Printf.eprintf "error: --job-retain must be >= 1\n";
-      exit 1
-    end;
-    if engine_domains < 1 then begin
-      Printf.eprintf "error: --engine-domains must be >= 1\n";
-      exit 1
-    end;
-    if queue < 1 then begin
-      Printf.eprintf "error: --queue must be >= 1\n";
-      exit 1
-    end;
-    if registry_capacity < 1 then begin
-      Printf.eprintf "error: --registry-capacity must be >= 1\n";
-      exit 1
-    end;
-    (match trace_sample with
-    | Some n when n < 1 ->
-      Printf.eprintf "error: --trace-sample must be >= 1\n";
-      exit 1
-    | _ -> ());
-    (match slow_ms with
-    | Some n when n < 1 ->
-      Printf.eprintf "error: --slow-ms must be >= 1\n";
-      exit 1
-    | _ -> ());
     let config =
       {
         Srv.Server.host;
@@ -1116,39 +996,19 @@ let serve_cmd =
              ~domains:engine_domains ())
       else None
     in
-    (* The audit sink is append-only and mutex-serialized: worker
-       domains emit registry lines concurrently. *)
+    (* The audit sink is append-only: worker domains emit registry
+       lines concurrently. *)
     let dataset_audit_sink, close_dataset_audit =
       match dataset_audit with
       | None -> (None, fun () -> ())
       | Some path ->
-        let oc =
-          try open_out_gen [ Open_append; Open_creat ] 0o644 path
-          with Sys_error message ->
-            Printf.eprintf "error: cannot open --dataset-audit file: %s\n"
-              message;
-            exit 1
+        let write, close =
+          line_sink (open_out_gen [ Open_append; Open_creat ] 0o644 path)
         in
-        let mutex = Mutex.create () in
-        ( Some
-            (fun line ->
-              Mutex.lock mutex;
-              output_string oc line;
-              output_char oc '\n';
-              flush oc;
-              Mutex.unlock mutex),
-          fun () -> close_out oc )
+        (Some write, close)
     in
     let persist =
-      match data_dir with
-      | None -> None
-      | Some dir -> (
-        match Srv.Persist.open_ ~snapshot_every ~dir () with
-        | p -> Some p
-        | exception E.Error e ->
-          Printf.eprintf "error: cannot open --data-dir %s: %s\n" dir
-            e.E.message;
-          exit 1)
+      Option.map (fun dir -> Srv.Persist.open_ ~snapshot_every ~dir ()) data_dir
     in
     let handlers =
       Srv.Handlers.create ?default_max_facts:max_facts ?engine_pool
@@ -1168,10 +1028,11 @@ let serve_cmd =
     let server =
       match Srv.Server.create ~config handlers with
       | server -> server
-      | exception Unix.Unix_error (err, _, _) ->
-        Printf.eprintf "error: cannot bind %s:%d: %s\n" host port
-          (Unix.error_message err);
-        exit 1
+      | exception (Unix.Unix_error _ as exn) ->
+        raise
+          (E.Error
+             (E.add_context (Srv.Codec.error_of_exn exn)
+                [ ("address", Printf.sprintf "%s:%d" host port) ]))
     in
     Srv.Server.install_signal_handlers server;
     Printf.printf
@@ -1208,25 +1069,23 @@ let serve_cmd =
 (* ---- datasets / append (registry HTTP client) ------------------------------------- *)
 
 let server_arg =
+  let parse s =
+    let port_of p =
+      match int_of_string_opt p with Some p when p > 0 -> Some p | _ -> None
+    in
+    match String.rindex_opt s ':' with
+    | Some i when i > 0 -> (
+      match port_of (String.sub s (i + 1) (String.length s - i - 1)) with
+      | Some port -> Ok (String.sub s 0 i, port)
+      | None -> Error (`Msg ("expected HOST:PORT, got " ^ s)))
+    | _ -> Error (`Msg ("expected HOST:PORT, got " ^ s))
+  in
+  let print ppf (host, port) = Format.fprintf ppf "%s:%d" host port in
   Arg.(
     value
-    & opt string "127.0.0.1:8080"
+    & opt (conv (parse, print)) ("127.0.0.1", 8080)
     & info [ "server" ] ~docv:"HOST:PORT"
         ~doc:"Address of the running $(b,vadasa serve) instance.")
-
-let parse_server s =
-  let fail () =
-    Printf.eprintf "error: --server expects HOST:PORT (got %s)\n" s;
-    exit 1
-  in
-  match String.rindex_opt s ':' with
-  | None -> fail ()
-  | Some i -> (
-    let host = String.sub s 0 i in
-    let port = String.sub s (i + 1) (String.length s - i - 1) in
-    match int_of_string_opt port with
-    | Some p when p > 0 && host <> "" -> (host, p)
-    | _ -> fail ())
 
 (* Print the response body on stdout (it is already JSON); a non-2xx
    answer goes to stderr instead and exits 1 — the body carries the
@@ -1234,8 +1093,7 @@ let parse_server s =
 let newline_terminated s =
   if s = "" || s.[String.length s - 1] <> '\n' then s ^ "\n" else s
 
-let client_call ~server ~meth ~target ?headers ?body () =
-  let host, port = parse_server server in
+let client_call ~server:(host, port) ~meth ~target ?headers ?body () =
   let status, _, resp =
     Srv.Client.request_retrying ~host ~port ~meth ~target ?headers ?body ()
   in
@@ -1244,17 +1102,6 @@ let client_call ~server ~meth ~target ?headers ?body () =
     Printf.eprintf "error: HTTP %d\n%s" status (newline_terminated resp);
     exit 1
   end
-
-let slurp path =
-  let ic =
-    try open_in_bin path
-    with Sys_error message ->
-      Printf.eprintf "error: %s\n" message;
-      exit 1
-  in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
 
 let dataset_id_arg =
   Arg.(
@@ -1318,7 +1165,7 @@ let datasets_cmd =
       in
       client_call ~server ~meth:"PUT" ~target
         ~headers:[ ("content-type", "text/csv") ]
-        ~body:(slurp file) ();
+        ~body:(read_file file) ();
       finish ()
     in
     Cmd.v
@@ -1405,7 +1252,7 @@ let append_cmd =
     client_call ~server ~meth:"POST"
       ~target:("/v1/datasets/" ^ id ^ "/facts")
       ~headers:[ ("content-type", "text/csv") ]
-      ~body:(slurp input) ();
+      ~body:(read_file input) ();
     finish ()
   in
   Cmd.v
@@ -1554,8 +1401,7 @@ let jobs_cmd =
         & opt int 200
         & info [ "poll-ms" ] ~docv:"MS" ~doc:"Polling interval.")
     in
-    let run (finish, _, _) server id timeout poll_ms =
-      let host, port = parse_server server in
+    let run (finish, _, _) (host, port) id timeout poll_ms =
       let deadline = Unix.gettimeofday () +. timeout in
       let rec poll () =
         let status, _, body =
@@ -1681,12 +1527,15 @@ let () =
         jobs_cmd;
       ]
   in
-  (* [~catch:false] lets typed errors reach this handler: every failure
-     in the taxonomy prints as one [error[code]] line plus its context
-     pairs (file, line, column, …) and exits 2. *)
+  (* [~catch:false] lets every exception reach this handler, which maps
+     it through the server's total [Codec.error_of_exn]: each failure
+     prints as one [error[code]] line plus its context pairs (file,
+     line, column, …) and exits 2. Malformed flags never get here —
+     Cmdliner rejects them with a usage error first. *)
   match Cmd.eval ~catch:false group with
   | code -> exit code
-  | exception E.Error e ->
-    Printf.eprintf "error[%s]: %s\n" e.E.code e.E.message;
-    List.iter (fun (k, v) -> Printf.eprintf "  %s: %s\n" k v) e.E.context;
+  | exception exn ->
+    let e = Srv.Codec.error_of_exn exn in
+    prerr_endline ("error[" ^ e.E.code ^ "]: " ^ e.E.message);
+    List.iter (fun (k, v) -> prerr_endline ("  " ^ k ^ ": " ^ v)) e.E.context;
     exit 2

@@ -15,6 +15,8 @@ let make ?(context = []) ~code category message =
 let fail ?context ~code category message =
   raise (Error (make ?context ~code category message))
 
+let get_ok = function Ok v -> v | Stdlib.Error e -> raise (Error e)
+
 let failf ?context ~code category fmt =
   Format.kasprintf (fun message -> fail ?context ~code category message) fmt
 

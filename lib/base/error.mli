@@ -39,6 +39,9 @@ val fail :
   ?context:(string * string) list -> code:string -> category -> string -> 'a
 (** [fail ~code category message] raises {!Error}. *)
 
+val get_ok : ('a, t) result -> 'a
+(** The [Ok] value; an [Error e] is raised as {!Error}[ e]. *)
+
 val failf :
   ?context:(string * string) list ->
   code:string ->

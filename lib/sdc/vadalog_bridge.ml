@@ -294,7 +294,7 @@ let decode_risks engine n =
     (V.Engine.facts engine "riskoutput");
   risks
 
-let risk_via_engine ?budget ?domains ?pool ?threshold:_ measure md =
+let risk_via_engine ?budget ?domains ?pool measure md =
   let engine = engine_for ?budget ?domains ?pool measure md ~first_null_label:1 in
   decode_risks engine (Microdata.cardinal md)
 

@@ -84,7 +84,6 @@ val risk_via_engine :
   ?budget:Vadasa_base.Budget.t ->
   ?domains:int ->
   ?pool:Vadasa_base.Task_pool.t ->
-  ?threshold:float ->
   Risk.measure ->
   Microdata.t ->
   float array

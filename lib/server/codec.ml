@@ -8,6 +8,7 @@ module Json = Vadasa_base.Json
 module E = Vadasa_base.Error
 module R = Vadasa_relational
 module S = Vadasa_sdc
+module D = Vadasa_datagen
 module V = Vadasa_vadalog
 
 (* ---- request decoding --------------------------------------------------- *)
@@ -357,6 +358,11 @@ let explain_string tree =
 
 (* ---- semantic decoding --------------------------------------------------- *)
 
+(* The one place request options become typed SDC inputs: the CLI, the
+   /v1 handlers, the jobs queue and the dataset registry all decode
+   measure, semantics, method and category overrides here, so a value
+   one front end rejects every front end rejects with the same code. *)
+
 let measure_of_options o =
   match o.measure with
   | "k-anonymity" -> Ok (S.Risk.K_anonymity { k = o.k })
@@ -371,29 +377,84 @@ let measure_of_options o =
          (Printf.sprintf "unknown measure %s" other)
          ~context:[ ("measure", other) ])
 
+let semantics_of_options o =
+  match R.Null_semantics.of_string o.semantics with
+  | Some s -> Ok s
+  | None ->
+    Error
+      (E.make ~code:"semantics.unknown" E.Wardedness
+         ("unknown semantics " ^ o.semantics)
+         ~context:[ ("semantics", o.semantics) ])
+
+(* Recoding rolls values up a hierarchy synthesized from the data, so
+   the method decodes to a function of the microdata. *)
+let method_of_options o =
+  match o.method_ with
+  | "suppress" -> Ok (fun _ -> S.Cycle.Local_suppression)
+  | "recode" ->
+    Ok
+      (fun md ->
+        S.Cycle.Recode_then_suppress (D.Generator.synthetic_hierarchy md))
+  | other ->
+    Error
+      (E.make ~code:"method.unknown" E.Wardedness ("unknown method " ^ other)
+         ~context:[ ("method", other) ])
+
+let overrides_of_options o =
+  List.fold_left
+    (fun acc (attr, cat) ->
+      let* acc = acc in
+      match S.Microdata.category_of_string cat with
+      | Some c -> Ok ((attr, c) :: acc)
+      | None ->
+        Error
+          (E.make ~code:"category.unknown" E.Wardedness
+             (Printf.sprintf "unknown category %s for %s" cat attr)
+             ~context:[ ("attr", attr); ("category", cat) ]))
+    (Ok []) o.categories
+  |> Result.map List.rev
+
+let validate_options o =
+  let* _ = measure_of_options o in
+  let* _ = semantics_of_options o in
+  let* _ = method_of_options o in
+  let* _ = overrides_of_options o in
+  Ok ()
+
+let cycle_config_of_options o md =
+  let* measure = measure_of_options o in
+  let* semantics = semantics_of_options o in
+  let* method_ = method_of_options o in
+  Ok
+    {
+      S.Cycle.default_config with
+      S.Cycle.measure;
+      threshold = o.threshold;
+      semantics;
+      method_ = method_ md;
+    }
+
+let microdata_of_relation o rel =
+  let* overrides = overrides_of_options o in
+  match S.Categorize.categorize_microdata ~overrides rel with
+  | Ok md -> Ok md
+  | Error msg ->
+    Error
+      (E.make ~code:"categorize.failed" E.Wardedness msg
+         ~context:
+           [
+             ( "hint",
+               "override with category \
+                attr=identifier|quasi-identifier|non-identifying|weight" );
+           ])
+
 let microdata_of_payload { csv; options } =
   let* rel =
     match R.Csv.read_string ~name:options.name csv with
     | rel -> Ok rel
     | exception E.Error e -> Error e
   in
-  let* overrides =
-    List.fold_left
-      (fun acc (attr, cat) ->
-        let* acc = acc in
-        match S.Microdata.category_of_string cat with
-        | Some c -> Ok ((attr, c) :: acc)
-        | None ->
-          Error
-            (E.make ~code:"category.unknown" E.Wardedness
-               (Printf.sprintf "unknown category %s for %s" cat attr)
-               ~context:[ ("attr", attr); ("category", cat) ]))
-      (Ok []) options.categories
-    |> Result.map List.rev
-  in
-  match S.Categorize.categorize_microdata ~overrides rel with
-  | Ok md -> Ok md
-  | Error msg -> Error (E.make ~code:"categorize.failed" E.Wardedness msg)
+  microdata_of_relation options rel
 
 (* ---- typed errors on the wire -------------------------------------------- *)
 
@@ -416,6 +477,7 @@ let error_of_exn = function
       ~context:[ ("line", string_of_int line) ]
   | V.Stratify.Not_stratifiable msg ->
     E.make ~code:"program.not_stratifiable" E.Wardedness msg
+  | V.Expr.Eval_error msg -> E.make ~code:"program.eval" E.Wardedness msg
   | V.Engine.Limit msg -> E.make ~code:"engine.limit" E.Resource msg
   | S.Vadalog_bridge.Unsupported msg ->
     E.make ~code:"measure.unsupported" E.Wardedness msg
@@ -423,6 +485,7 @@ let error_of_exn = function
     E.make ~code:"io.unix" E.Io
       (Printf.sprintf "%s: %s" fn (Unix.error_message err))
       ~context:(if arg = "" then [] else [ ("arg", arg) ])
+  | Sys_error msg -> E.make ~code:"io.file" E.Io msg
   | Invalid_argument msg -> E.make ~code:"internal.invalid_arg" E.Internal msg
   | Failure msg -> E.make ~code:"internal.failure" E.Internal msg
   | exn -> E.make ~code:"internal.exception" E.Internal (Printexc.to_string exn)
@@ -504,8 +567,7 @@ let risk_report_degraded_string ~threshold md report interrupt =
     ^ "\n"
   | json -> Json.to_string ~indent:true json ^ "\n"
 
-let anonymize_outcome_json ?audit md (outcome : S.Cycle.outcome) =
-  ignore md;
+let anonymize_outcome_json ?audit (outcome : S.Cycle.outcome) =
   Json.Obj
     ([
        ("dataset", Json.Str (S.Microdata.name outcome.S.Cycle.anonymized));

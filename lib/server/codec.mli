@@ -53,9 +53,44 @@ val parse_payload : Http.request -> (payload, Vadasa_base.Error.t) result
     [request.missing_csv], [request.bad_field], [request.bad_param],
     [request.empty_body], [request.unsupported_media]. *)
 
+(** {2 Options to typed SDC inputs}
+
+    The one decoder every front end shares — the CLI's flags, the [/v1]
+    handlers, {!Jobs} submissions and {!Registry} registrations (and
+    their journal replay) — so a value one of them rejects, all of them
+    reject with the same code. Every failure is a Wardedness error
+    (HTTP 422, CLI exit 2). *)
+
 val measure_of_options :
   options -> (Vadasa_sdc.Risk.measure, Vadasa_base.Error.t) result
-(** [measure.unknown] (Wardedness, 422) for unrecognized measures. *)
+(** [measure.unknown] for unrecognized measures. *)
+
+val semantics_of_options :
+  options -> (Vadasa_relational.Null_semantics.t, Vadasa_base.Error.t) result
+(** [semantics.unknown] for anything but [maybe-match] / [standard]. *)
+
+val cycle_config_of_options :
+  options ->
+  Vadasa_sdc.Microdata.t ->
+  (Vadasa_sdc.Cycle.config, Vadasa_base.Error.t) result
+(** {!Vadasa_sdc.Cycle.default_config} with the options' measure,
+    threshold, semantics and method. [recode] builds its synthetic
+    hierarchy from the microdata. Fails with [measure.unknown],
+    [semantics.unknown] or [method.unknown]. *)
+
+val validate_options : options -> (unit, Vadasa_base.Error.t) result
+(** Decode every SDC choice the options name — measure, semantics,
+    method, category overrides — without any data: what {!Jobs.submit}
+    checks before it admits and journals a job. *)
+
+val microdata_of_relation :
+  options ->
+  Vadasa_relational.Relation.t ->
+  (Vadasa_sdc.Microdata.t, Vadasa_base.Error.t) result
+(** Categorize a loaded relation, honouring the options' expert
+    overrides: [category.unknown] for an override naming no category,
+    [categorize.failed] (with a [hint] context pair) when Algorithm 1
+    leaves attributes unresolved. *)
 
 val parse_fact :
   string ->
@@ -91,9 +126,8 @@ val explain_string : Vadasa_vadalog.Provenance.t -> string
 
 val microdata_of_payload :
   payload -> (Vadasa_sdc.Microdata.t, Vadasa_base.Error.t) result
-(** CSV → relation → categorized microdata (expert overrides honoured).
-    Propagates the CSV reader's typed errors ([csv.ragged_row], …) and
-    adds [category.unknown] / [categorize.failed] (both Wardedness). *)
+(** CSV → relation → {!microdata_of_relation}. Propagates the CSV
+    reader's typed errors ([csv.ragged_row], …). *)
 
 val status_of_category : Vadasa_base.Error.category -> int
 (** Parse → 400, Wardedness → 422, Resource → 503, Io → 500,
@@ -108,10 +142,13 @@ val status_of_error : Vadasa_base.Error.t -> int
 val error_of_exn : exn -> Vadasa_base.Error.t
 (** Total mapping of escaped exceptions to the taxonomy:
     [Vadasa_base.Error.Error] passes through; parser/lexer/stratifier
-    failures become [program.*] (Wardedness); [Engine.Limit] becomes
+    failures and [Expr.Eval_error] (arithmetic over a labelled null, say)
+    become [program.*] (Wardedness); [Engine.Limit] becomes
     [engine.limit] (Resource); [Vadalog_bridge.Unsupported] becomes
-    [measure.unsupported] (Wardedness); [Unix_error] becomes [io.unix];
-    everything else lands in [internal.*]. *)
+    [measure.unsupported] (Wardedness); [Unix_error] becomes [io.unix]
+    and [Sys_error] [io.file] (both Io); everything else lands in
+    [internal.*]. The CLI's top-level handler maps through it too, so
+    every failure of either front end carries a code. *)
 
 val response_of_error : Vadasa_base.Error.t -> Http.response
 (** [{"error": {"code", "category", "message", "context"}}] with the
@@ -147,7 +184,6 @@ val risk_report_degraded_string :
 
 val anonymize_outcome_json :
   ?audit:Vadasa_sdc.Audit.event list ->
-  Vadasa_sdc.Microdata.t ->
   Vadasa_sdc.Cycle.outcome ->
   Vadasa_base.Json.t
 (** Outcome counters plus the anonymized relation as a [csv] field.

@@ -26,7 +26,6 @@ module Budget = Vadasa_base.Budget
 module Faultpoint = Vadasa_resilience.Faultpoint
 module Telemetry = Vadasa_telemetry.Telemetry
 module S = Vadasa_sdc
-module D = Vadasa_datagen
 module V = Vadasa_vadalog
 
 type compiled = {
@@ -135,8 +134,6 @@ let dataset_key (payload : Codec.payload) =
                (fun (a, c) -> [ a; c ])
                payload.options.categories)))
 
-let ok_or_raise = function Ok v -> v | Error e -> raise (E.Error e)
-
 (* The per-request work budget: the earlier of the response deadline the
    server stamped on the request and the client's own [budget_ms],
    capped by [max_facts]. [None] only when no constraint applies. *)
@@ -164,11 +161,11 @@ let microdata_for t payload =
   (* The builder can fail (bad CSV, unresolved attributes); failures
      escape as [Error.Error] and are not cached. *)
   Cache.find_or_build t.datasets key (fun _ ->
-      ok_or_raise (Codec.microdata_of_payload payload))
+      E.get_ok (Codec.microdata_of_payload payload))
 
-let payload_of_request req = ok_or_raise (Codec.parse_payload req)
+let payload_of_request req = E.get_ok (Codec.parse_payload req)
 
-let measure_of_options options = ok_or_raise (Codec.measure_of_options options)
+let measure_of_options options = E.get_ok (Codec.measure_of_options options)
 
 let compile t source =
   Cache.find_or_build_hit t.programs source (fun src ->
@@ -193,6 +190,30 @@ let healthz t _req =
               Json.Float (Unix.gettimeofday () -. t.started_at) );
           ]))
 
+(* The measure's program through the compiled-program cache, chased
+   over [md]'s facts on the shared engine pool under the request budget.
+   An interrupted chase is returned, not raised: the caller renders
+   whatever the partial saturation derived as a degraded 200. Raises
+   [Vadalog_bridge.Unsupported] (422 [measure.unsupported]) for
+   measures outside the logic. *)
+let chase_measure t req options measure md =
+  let compiled, cached =
+    compile t (S.Vadalog_bridge.program_of_measure measure)
+  in
+  let program =
+    V.Program.union compiled.program
+      (V.Program.make ~facts:(S.Vadalog_bridge.microdata_facts md) [])
+  in
+  let engine =
+    V.Engine.create ~strat:compiled.strat ?pool:t.engine_pool program
+  in
+  let interrupt =
+    match V.Engine.run ?budget:(budget_for t req options) engine with
+    | () -> None
+    | exception V.Engine.Interrupted i -> Some i
+  in
+  (compiled, cached, engine, interrupt)
+
 let risk t req =
   let payload = payload_of_request req in
   let md = microdata_for t payload in
@@ -200,64 +221,36 @@ let risk t req =
   let measure = measure_of_options options in
   let threshold = options.Codec.threshold in
   let report = S.Risk.estimate measure md in
-  if not options.Codec.reasoned then
+  let interrupt =
+    if not options.Codec.reasoned then None
+    else
+      (* Reasoned cross-check: the measure's program runs on the engine
+         under the request budget. A chase cut short by the budget
+         degrades to the native report plus partial-progress markers —
+         still a 200, never a timeout error. *)
+      let _, _, _, interrupt = chase_measure t req options measure md in
+      interrupt
+  in
+  match interrupt with
+  | None ->
     (* The exact string the CLI's [risk --json] prints: byte-identical. *)
     Http.response ~status:200 (Codec.risk_report_string ~threshold md report)
-  else
-    (* Reasoned cross-check: run the measure's program on the engine
-       under the request budget. A chase cut short by the budget
-       degrades to the native report plus partial-progress markers —
-       still a 200, never a timeout error. *)
-    match
-      S.Vadalog_bridge.risk_via_engine ?budget:(budget_for t req options)
-        ?pool:t.engine_pool ~threshold measure md
-    with
-    | _engine_risks ->
-      Http.response ~status:200 (Codec.risk_report_string ~threshold md report)
-    | exception V.Engine.Interrupted interrupt ->
-      Http.response ~status:200
-        (Codec.risk_report_degraded_string ~threshold md report interrupt)
+  | Some interrupt ->
+    Http.response ~status:200
+      (Codec.risk_report_degraded_string ~threshold md report interrupt)
 
 let anonymize t req =
   let payload = payload_of_request req in
   let md = microdata_for t payload in
   let options = payload.Codec.options in
-  let measure = measure_of_options options in
-  let semantics =
-    match
-      Vadasa_relational.Null_semantics.of_string options.Codec.semantics
-    with
-    | Some s -> s
-    | None ->
-      E.fail ~code:"semantics.unknown" E.Wardedness
-        ("unknown semantics " ^ options.Codec.semantics)
-        ~context:[ ("semantics", options.Codec.semantics) ]
-  in
-  let method_ =
-    match options.Codec.method_ with
-    | "suppress" -> S.Cycle.Local_suppression
-    | "recode" ->
-      S.Cycle.Recode_then_suppress (D.Generator.synthetic_hierarchy md)
-    | other ->
-      E.fail ~code:"method.unknown" E.Wardedness ("unknown method " ^ other)
-        ~context:[ ("method", other) ]
-  in
-  let config =
-    {
-      S.Cycle.default_config with
-      S.Cycle.measure;
-      threshold = options.Codec.threshold;
-      semantics;
-      method_;
-    }
-  in
+  let config = E.get_ok (Codec.cycle_config_of_options options md) in
   let recorder = if options.Codec.audit then Some (S.Audit.recorder ()) else None in
   let outcome =
     S.Cycle.run ~config ?audit:recorder ?budget:(budget_for t req options) md
   in
   let audit = Option.map S.Audit.events recorder in
   Http.response ~status:200
-    (Json.to_string ~indent:true (Codec.anonymize_outcome_json ?audit md outcome)
+    (Json.to_string ~indent:true (Codec.anonymize_outcome_json ?audit outcome)
     ^ "\n")
 
 (* Program + fact -> derivation tree. The program compiles through the
@@ -266,7 +259,7 @@ let anonymize t req =
    then names the interruption so the client can tell "never derivable"
    from "ran out of budget". *)
 let explain t req =
-  let er = ok_or_raise (Codec.parse_explain_payload req) in
+  let er = E.get_ok (Codec.parse_explain_payload req) in
   let compiled, _cached = compile t er.Codec.explain_program in
   let engine =
     V.Engine.create ~strat:compiled.strat ?pool:t.engine_pool
@@ -323,28 +316,16 @@ let reason t req =
   let md = microdata_for t payload in
   let options = payload.Codec.options in
   let measure = measure_of_options options in
-  let threshold = options.Codec.threshold in
-  let source = S.Vadalog_bridge.program_of_measure measure in
-  let compiled, cached = compile t source in
-  let program =
-    V.Program.union compiled.program
-      (V.Program.make ~facts:(S.Vadalog_bridge.microdata_facts md) [])
-  in
-  let engine =
-    V.Engine.create ~strat:compiled.strat ?pool:t.engine_pool program
+  let compiled, cached, engine, interrupt =
+    chase_measure t req options measure md
   in
   (* An interrupted chase still answers: [decode_risks] reads whatever
      riskoutput facts the partial saturation derived. *)
-  let interrupt =
-    match V.Engine.run ?budget:(budget_for t req options) engine with
-    | () -> None
-    | exception V.Engine.Interrupted i -> Some i
-  in
   let risks = S.Vadalog_bridge.decode_risks engine (S.Microdata.cardinal md) in
   Http.response ~status:200
     (Json.to_string ~indent:true
-       (Codec.reason_json ?interrupt ~cached ~warded:compiled.warded ~threshold
-          md risks)
+       (Codec.reason_json ?interrupt ~cached ~warded:compiled.warded
+          ~threshold:options.Codec.threshold md risks)
     ^ "\n")
 
 (* ---- dataset registry endpoints ----------------------------------------- *)
@@ -387,7 +368,7 @@ let dataset_put t req =
   let { Registry.entry; created } =
     Registry.put t.registry ~id ~digest:(dataset_key payload)
       ~bytes:(String.length payload.Codec.csv)
-      ~options ~measure ~compiled md
+      ~options ~compiled md
   in
   let body =
     match Registry.entry_json entry with
@@ -556,7 +537,7 @@ let job_submit t req =
   in
   let dataset = field "dataset" in
   let op = field "op" in
-  let options = ok_or_raise (Codec.options_of_json json) in
+  let options = E.get_ok (Codec.options_of_json json) in
   let job =
     Jobs.submit t.jobs ~tenant:(tenant_of req) ~dataset ~op ~options
   in

@@ -32,7 +32,6 @@ module Budget = Vadasa_base.Budget
 module Faultpoint = Vadasa_resilience.Faultpoint
 module Retry = Vadasa_resilience.Retry
 module S = Vadasa_sdc
-module D = Vadasa_datagen
 
 type state = Queued | Running | Done | Failed | Cancelled | Orphaned
 
@@ -367,8 +366,6 @@ let check_cancel job =
     let code, message = cancelled_error job in
     E.fail ~code E.Resource message ~context:[ ("job", job.id) ]
 
-let ok_or_raise = function Ok v -> v | Error e -> raise (E.Error e)
-
 (* The maintained incremental report — the same bytes
    [GET /v1/datasets/{id}/risk] serves (the jobs e2e test diffs them). *)
 let run_risk entry =
@@ -377,43 +374,14 @@ let run_risk entry =
   let report = Registry.entry_report entry in
   Codec.risk_report_string ~threshold:options.Codec.threshold md report
 
-(* Mirrors the synchronous /v1/anonymize handler, over a snapshot of
+(* The synchronous /v1/anonymize handler's cycle, over a snapshot of
    the registered dataset, under the job's budget (which is how cancel
    interrupts a long cycle mid-flight). *)
 let run_anonymize job entry =
-  let options = job.options in
   let md = Registry.entry_md_snapshot entry in
-  let measure = ok_or_raise (Codec.measure_of_options options) in
-  let semantics =
-    match
-      Vadasa_relational.Null_semantics.of_string options.Codec.semantics
-    with
-    | Some s -> s
-    | None ->
-      E.fail ~code:"semantics.unknown" E.Wardedness
-        ("unknown semantics " ^ options.Codec.semantics)
-        ~context:[ ("semantics", options.Codec.semantics) ]
-  in
-  let method_ =
-    match options.Codec.method_ with
-    | "suppress" -> S.Cycle.Local_suppression
-    | "recode" ->
-      S.Cycle.Recode_then_suppress (D.Generator.synthetic_hierarchy md)
-    | other ->
-      E.fail ~code:"method.unknown" E.Wardedness ("unknown method " ^ other)
-        ~context:[ ("method", other) ]
-  in
-  let config =
-    {
-      S.Cycle.default_config with
-      S.Cycle.measure;
-      threshold = options.Codec.threshold;
-      semantics;
-      method_;
-    }
-  in
+  let config = E.get_ok (Codec.cycle_config_of_options job.options md) in
   let outcome = S.Cycle.run ~config ~budget:job.budget md in
-  Json.to_string ~indent:true (Codec.anonymize_outcome_json md outcome) ^ "\n"
+  Json.to_string ~indent:true (Codec.anonymize_outcome_json outcome) ^ "\n"
 
 let step t job () =
   Mutex.lock t.mu;
@@ -528,6 +496,10 @@ let submit_record job =
 let submit t ~tenant ~dataset ~op ~options =
   validate_op op;
   validate_tenant tenant;
+  (* Options decode at admission, through the same decoder the worker
+     uses: a job that could only fail is refused (422) and never
+     journaled. *)
+  E.get_ok (Codec.validate_options options);
   (* Fail fast on an unregistered dataset (404), before spending a rate
      token on a submission that can't run. *)
   ignore (Registry.get t.registry dataset);
@@ -551,7 +523,7 @@ let submit t ~tenant ~dataset ~op ~options =
             Ok id
           end)
   in
-  let id = ok_or_raise admitted in
+  let id = E.get_ok admitted in
   let job =
     {
       id;
@@ -653,11 +625,9 @@ let insert_restored t job =
   t.submitted <- t.submitted + 1;
   Mutex.unlock t.mu
 
-let job_of_record t json =
-  let id = record_string json "job" in
-  ignore t;
+let job_of_record json =
   {
-    id;
+    id = record_string json "job";
     tenant = record_string json "tenant";
     op = record_string json "op";
     dataset = record_string json "dataset";
@@ -680,7 +650,13 @@ let job_of_record t json =
 
 let apply t json =
   match record_string json "kind" with
-  | "job.submit" -> insert_restored t (job_of_record t json)
+  | "job.submit" ->
+    let job = job_of_record json in
+    (* A submission admitted before options were validated at submit
+       may not decode now: it fails to re-apply and is counted as
+       skipped (its start/finish records then skip as job.not_found). *)
+    E.get_ok (Codec.validate_options job.options);
+    insert_restored t job
   | "job.start" ->
     let job = get t (record_string json "job") in
     Mutex.lock t.mu;
@@ -757,7 +733,7 @@ let restore t json =
   | Some jobs ->
     List.iter
       (fun job_json ->
-        let job = job_of_record t job_json in
+        let job = job_of_record job_json in
         (match
            Option.bind (Json.member "state" job_json) Json.to_string_opt
            |> Fun.flip Option.bind state_of_string

@@ -20,12 +20,14 @@
 
     With a {!Persist} store attached, [job.submit] / [job.start] /
     [job.finish] transitions are journaled ahead of becoming visible.
-    After {!Persist.recover}, {!resume} settles what the journal left
-    open: still-queued jobs re-run (marked [replayed] in their status),
-    jobs that were mid-flight fault terminally as [job.orphaned] (they
-    may have had observable effects; re-running them silently could
-    double-apply). Terminal jobs survive restarts byte-identically,
-    results included. See docs/JOBS.md. *)
+    Replay skips a [job.submit] record whose options no longer decode
+    (it counts in {!Persist.recovery}'s [skipped], as do that job's
+    later records). After {!Persist.recover}, {!resume} settles what the
+    journal left open: still-queued jobs re-run (marked [replayed] in
+    their status), jobs that were mid-flight fault terminally as
+    [job.orphaned] (they may have had observable effects; re-running
+    them silently could double-apply). Terminal jobs survive restarts
+    byte-identically, results included. See docs/JOBS.md. *)
 
 type t
 
@@ -76,8 +78,11 @@ val submit :
 (** Admit, journal, publish and enqueue a job. [op] is ["risk"] (the
     dataset's maintained incremental report — byte-identical to
     [GET /v1/datasets/{id}/risk]) or ["anonymize"] (a suppression/
-    recoding cycle over a snapshot, honouring [options]). Raises
-    [job.bad_op], [tenant.bad_id], [dataset.not_found],
+    recoding cycle over a snapshot, honouring [options]). [options]
+    must pass {!Codec.validate_options}, so a job that could only fail
+    on its worker is never admitted or journaled. Raises [job.bad_op],
+    [tenant.bad_id], [measure.unknown] / [semantics.unknown] /
+    [method.unknown] / [category.unknown], [dataset.not_found],
     [tenant.rate_limited], [tenant.quota_exceeded], [jobs.queue_full]. *)
 
 val cancel : t -> string -> job

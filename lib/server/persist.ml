@@ -126,6 +126,8 @@ let register t ~section ~prefix ~dump ~restore ~apply =
 
 let replaying t = t.replaying
 
+let skip t = t.skipped_records <- t.skipped_records + 1
+
 (* ---- readers-writer lock ------------------------------------------------- *)
 
 let shared_acquire t =

@@ -53,6 +53,12 @@ val commit : t -> record:Vadasa_base.Json.t -> ((unit -> unit) -> 'a) -> 'a
 
 val replaying : t -> bool
 
+val skip : t -> unit
+(** Count one snapshot entry a registrant's [restore] could not rebuild
+    (its options no longer decode) in {!recovery}'s [skipped]: recovery
+    goes on without it, as it does past a record that fails to
+    re-apply. *)
+
 val snapshot : t -> unit
 (** Force a snapshot now: dump all registrants (under the exclusive
     lock), write + fsync a temp file, atomically rename it over the
@@ -71,7 +77,9 @@ val stats : t -> Vadasa_base.Json.t
 
 type recovery = {
   replayed : int;  (** journal records re-applied at boot *)
-  skipped : int;  (** records that failed to re-apply (counted, not fatal) *)
+  skipped : int;
+      (** records that failed to re-apply and snapshot entries that
+          could not be rebuilt (counted, not fatal) *)
   truncated : int;  (** torn-tail bytes discarded at boot *)
   snapshots : int;  (** snapshots written since open *)
 }

@@ -188,9 +188,16 @@ let evict_lru t =
     Hashtbl.remove t.table id;
     t.evictions <- t.evictions + 1
 
-let put t ~id ~digest ~bytes ~(options : Codec.options) ~measure ~compiled
+(* The measure and null semantics an entry's options name, through the
+   decoder every front end shares. *)
+let decode_options options =
+  ( E.get_ok (Codec.measure_of_options options),
+    E.get_ok (Codec.semantics_of_options options) )
+
+let put t ~id ~digest ~bytes ~(options : Codec.options) ~compiled
     (md : S.Microdata.t) =
   validate_id id;
+  let measure, semantics = decode_options options in
   Telemetry.span "registry.put" @@ fun () ->
   (match
      with_lock t.mu (fun () ->
@@ -213,11 +220,6 @@ let put t ~id ~digest ~bytes ~(options : Codec.options) ~measure ~compiled
   |> function
   | Some outcome -> outcome
   | None ->
-    let semantics =
-      Option.value
-        (R.Null_semantics.of_string options.Codec.semantics)
-        ~default:R.Null_semantics.Maybe_match
-    in
     (* The expensive state is built before the entry is published:
        losing a PUT race below just discards this candidate. *)
     let risk = S.Risk.Incremental.create ~semantics measure md in
@@ -570,44 +572,30 @@ let record_int json key =
 
 (* Recompile a measure's chase program the same way the server's PUT
    handler does (minus its cache): measures the bridge can't express
-   stay native-only, exactly as they did before the crash. *)
+   stay native-only, exactly as they did before the crash. A program
+   that fails to compile is a bug, not a native-only measure, so its
+   exception escapes instead of silently dropping the chase. *)
 let compile_measure measure =
   match S.Vadalog_bridge.program_of_measure measure with
-  | source -> (
-    match
-      let program = V.Parser.parse source in
-      (program, V.Stratify.compute program)
-    with
-    | program, strat -> Some (program, strat)
-    | exception _ -> None)
+  | source ->
+    let program = V.Parser.parse source in
+    Some (program, V.Stratify.compute program)
   | exception S.Vadalog_bridge.Unsupported _ -> None
 
-(* Decode the pieces a [dataset.put] needs — shared by snapshot restore
-   and journal replay. The stored CSV is the canonical union document,
-   so the rebuilt scorer and chase are fixpoints over exactly the rows
-   the crashed process held (reports are byte-identical because
-   incremental state always equals from-scratch state over the union). *)
+(* The options and categorized microdata of a stored [dataset.put] —
+   shared by snapshot restore and journal replay. The stored CSV is the
+   canonical union document, so the rebuilt scorer and chase are
+   fixpoints over exactly the rows the crashed process held (reports
+   are byte-identical because incremental state always equals
+   from-scratch state over the union). *)
 let decode_dataset_state json =
   let options =
     match Json.member "options" json with
-    | Some options_json -> (
-      match Codec.options_of_json options_json with
-      | Ok options -> options
-      | Error e -> raise (E.Error e))
+    | Some options_json -> E.get_ok (Codec.options_of_json options_json)
     | None -> raise (bad_record "missing options")
   in
-  let measure =
-    match Codec.measure_of_options options with
-    | Ok m -> m
-    | Error e -> raise (E.Error e)
-  in
   let csv = record_string json "csv" in
-  let md =
-    match Codec.microdata_of_payload { Codec.csv; options } with
-    | Ok md -> md
-    | Error e -> raise (E.Error e)
-  in
-  (options, measure, md)
+  (options, E.get_ok (Codec.microdata_of_payload { Codec.csv; options }))
 
 let dump t =
   let entries =
@@ -644,12 +632,8 @@ let dump t =
 
 let restore_entry t json =
   let id = record_string json "id" in
-  let options, measure, md = decode_dataset_state json in
-  let semantics =
-    Option.value
-      (R.Null_semantics.of_string options.Codec.semantics)
-      ~default:R.Null_semantics.Maybe_match
-  in
+  let options, md = decode_dataset_state json in
+  let measure, semantics = decode_options options in
   let scorer = S.Risk.Incremental.create ~semantics measure md in
   let chase =
     match compile_measure measure with
@@ -699,7 +683,15 @@ let restore t json =
   | None -> ());
   match Option.bind (Json.member "entries" json) Json.to_list_opt with
   | None -> ()
-  | Some entries -> List.iter (restore_entry t) entries
+  | Some entries ->
+    List.iter
+      (fun json ->
+        (* An entry registered before its options were decoded strictly
+           (say, an unknown semantics) is skipped, not fatal. *)
+        match restore_entry t json with
+        | () -> ()
+        | exception E.Error _ -> Option.iter Persist.skip t.persist)
+      entries
 
 (* Re-apply one journal record by re-running the public mutation it
    recorded; [Persist.replaying] makes the nested commit a no-op, so
@@ -708,12 +700,12 @@ let apply t json =
   match record_string json "kind" with
   | "dataset.put" ->
     let id = record_string json "id" in
-    let options, measure, md = decode_dataset_state json in
-    let compiled = compile_measure measure in
+    let options, md = decode_dataset_state json in
+    let compiled = compile_measure (fst (decode_options options)) in
     ignore
       (put t ~id
          ~digest:(record_string json "digest")
-         ~bytes:(record_int json "bytes") ~options ~measure ~compiled md)
+         ~bytes:(record_int json "bytes") ~options ~compiled md)
   | "dataset.append" ->
     let entry = get t (record_string json "id") in
     ignore (append t entry ~csv:(record_string json "csv"))

@@ -60,11 +60,14 @@ val put :
   digest:string ->
   bytes:int ->
   options:Codec.options ->
-  measure:Vadasa_sdc.Risk.measure ->
   compiled:(Vadasa_vadalog.Program.t * Vadasa_vadalog.Stratify.t) option ->
   Vadasa_sdc.Microdata.t ->
   put_outcome
-(** Register [md] under [id]. [digest] identifies the base payload:
+(** Register [md] under [id]. The entry's measure and null semantics
+    come from [options] through {!Codec.measure_of_options} and
+    {!Codec.semantics_of_options}: [measure.unknown] and
+    [semantics.unknown] are raised before anything is registered or
+    journaled. [digest] identifies the base payload:
     re-PUTting the identical payload is idempotent ([created = false]),
     a different payload under a live id raises [dataset.conflict].
     [compiled] is the measure's parsed/stratified program (rule ids must

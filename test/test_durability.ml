@@ -374,17 +374,12 @@ let test_persist_seq_continues_after_snapshot () =
 
 (* --- the crash-safe registry ---------------------------------------------- *)
 
-let default_measure () =
-  match Codec.measure_of_options Codec.default_options with
-  | Ok m -> m
-  | Error e -> Alcotest.failf "measure: %s" (E.to_string e)
-
 let put_base registry csv =
   let outcome =
     Registry.put registry ~id:"d"
       ~digest:(Digest.to_hex (Digest.string csv))
-      ~bytes:(String.length csv) ~options:Codec.default_options
-      ~measure:(default_measure ()) ~compiled:None (md_of_csv csv)
+      ~bytes:(String.length csv) ~options:Codec.default_options ~compiled:None
+      (md_of_csv csv)
   in
   outcome.Registry.entry
 
@@ -594,6 +589,153 @@ let test_jobs_e2e_http () =
       Alcotest.(check int) "unknown dataset 404" 404 status;
       Alcotest.(check (option string))
         "unknown dataset code" (Some "dataset.not_found") (error_code body))
+
+(* Job options decode at admission, through the decoder the worker
+   uses: an anonymize job naming an unknown method is refused with the
+   worker's own code and leaves no journal record. *)
+let test_jobs_options_validated_at_submit () =
+  let csv = Lazy.force figure6_csv in
+  let dir = tmp_dir () in
+  let persist = Persist.open_ ~snapshot_every:100000 ~dir () in
+  with_jobs_server ~persist (fun handlers port ->
+      put_dataset ~port ~id:"fig6" csv;
+      let status, body =
+        http_call ~port ~meth:"POST" ~target:"/v1/jobs"
+          ~body:
+            "{\"dataset\": \"fig6\", \"op\": \"anonymize\", \"method\": \
+             \"nope\"}"
+          ()
+      in
+      Alcotest.(check int) "422" 422 status;
+      Alcotest.(check (option string))
+        "method.unknown" (Some "method.unknown") (error_code body);
+      Alcotest.(check int) "not admitted" 0
+        (Jobs.counters (Srv.Handlers.jobs handlers)).Jobs.submitted;
+      (* read before shutdown: the closing snapshot truncates the journal *)
+      let { Journal.records; _ } =
+        Journal.scan ~path:(Filename.concat dir "registry.journal")
+      in
+      Alcotest.(check bool) "dataset journaled" true (records <> []);
+      Alcotest.(check bool)
+        "no job record" false
+        (List.exists
+           (fun (_, payload) -> Astring_contains.contains payload "job.submit")
+           records))
+
+(* An anonymize job runs the cycle /v1/anonymize runs: with recoding
+   and standard semantics, the job's release and counters equal the
+   synchronous endpoint's on the same data. *)
+let test_jobs_anonymize_matches_endpoint () =
+  let csv = Lazy.force figure6_csv in
+  with_jobs_server (fun _handlers port ->
+      put_dataset ~port ~id:"fig6" csv;
+      let status, body =
+        http_call ~port ~meth:"POST" ~target:"/v1/jobs"
+          ~body:
+            "{\"dataset\": \"fig6\", \"op\": \"anonymize\", \"method\": \
+             \"recode\", \"semantics\": \"standard\"}"
+          ()
+      in
+      Alcotest.(check int) "202" 202 status;
+      let job = wait_job ~port (jstr (json_of body) "id") in
+      Alcotest.(check string) "done" "done" (jstr job "state");
+      let from_job = json_of (jstr job "result") in
+      let status, body =
+        http_call ~port ~meth:"POST"
+          ~target:"/v1/anonymize?method=recode&semantics=standard"
+          ~headers:[ ("content-type", "text/csv") ]
+          ~body:csv ()
+      in
+      Alcotest.(check int) "anonymize 200" 200 status;
+      let from_endpoint = json_of body in
+      Alcotest.(check bool) "recoded" true (jint from_endpoint "recoded_cells" > 0);
+      Alcotest.(check string) "csv" (jstr from_endpoint "csv")
+        (jstr from_job "csv");
+      Alcotest.(check int) "rounds" (jint from_endpoint "rounds")
+        (jint from_job "rounds");
+      Alcotest.(check int) "nulls_injected"
+        (jint from_endpoint "nulls_injected")
+        (jint from_job "nulls_injected"))
+
+(* State written before options were decoded at admission may not
+   decode now: recovery counts such snapshot entries and journal records
+   as skipped — with the records that depend on them — and goes on. *)
+let test_recovery_skips_undecodable_options () =
+  let csv = Lazy.force figure6_csv in
+  let dir = tmp_dir () in
+  let options overrides =
+    match Codec.options_to_json Codec.default_options with
+    | Json.Obj fields ->
+      Json.Obj
+        (List.map
+           (fun (k, v) ->
+             (k, Option.value ~default:v (List.assoc_opt k overrides)))
+           fields)
+    | json -> json
+  in
+  let dataset ?(kind = []) id opts =
+    Json.Obj
+      (kind
+      @ [
+          ("id", Json.Str id);
+          ("digest", Json.Str id);
+          ("bytes", Json.Int (String.length csv));
+          ("appends", Json.Int 0);
+          ("chase_incremental", Json.Int 0);
+          ("chase_rebuilds", Json.Int 0);
+          ("csv", Json.Str csv);
+          ("options", options opts);
+        ])
+  in
+  let bogus = [ ("semantics", Json.Str "bogus") ] in
+  let p1 = Persist.open_ ~snapshot_every:100000 ~dir () in
+  (* a snapshot "datasets" section as an older server wrote it *)
+  Persist.register p1 ~section:"datasets" ~prefix:"unused."
+    ~dump:(fun () ->
+      Json.Obj
+        [
+          ( "entries",
+            Json.List [ dataset "snap-old" bogus; dataset "snap-ok" [] ] );
+        ])
+    ~restore:ignore ~apply:ignore;
+  Persist.snapshot p1;
+  let put = [ ("kind", Json.Str "dataset.put") ] in
+  List.iter
+    (fun record -> Persist.commit p1 ~record (fun commit_now -> commit_now ()))
+    [
+      dataset ~kind:put "old" bogus;
+      dataset ~kind:put "ok" [];
+      Json.Obj
+        [
+          ("kind", Json.Str "job.submit");
+          ("job", Json.Str "job-000001");
+          ("tenant", Json.Str "t");
+          ("op", Json.Str "anonymize");
+          ("dataset", Json.Str "ok");
+          ("options", options [ ("method", Json.Str "nope") ]);
+        ];
+      Json.Obj [ ("kind", Json.Str "job.start"); ("job", Json.Str "job-000001") ];
+    ];
+  (* crash: no closing snapshot *)
+  Journal.close (Persist.journal p1);
+  let p2 = Persist.open_ ~dir () in
+  with_jobs_server ~persist:p2 (fun _handlers port ->
+      let r = Persist.recovery p2 in
+      Alcotest.(check int) "valid put replayed" 1 r.Persist.replayed;
+      Alcotest.(check int)
+        "bad snapshot entry, bad put, bad submit and its start skipped" 4
+        r.Persist.skipped;
+      List.iter
+        (fun (id, status') ->
+          let status, _ =
+            http_call ~port ~meth:"GET" ~target:("/v1/datasets/" ^ id) ()
+          in
+          Alcotest.(check int) id status' status)
+        [ ("snap-ok", 200); ("snap-old", 404); ("ok", 200); ("old", 404) ];
+      let status, _ =
+        http_call ~port ~meth:"GET" ~target:"/v1/jobs/job-000001" ()
+      in
+      Alcotest.(check int) "bad job skipped" 404 status)
 
 (* a job whose first step faults (injected job.step) re-executes under
    the retry policy; a queued job cancels immediately with its worker
@@ -1009,6 +1151,12 @@ let () =
           Alcotest.test_case "rate limit survives tenant churn" `Quick
             test_jobs_rate_limit_survives_tenant_churn;
           Alcotest.test_case "crash resume" `Quick test_jobs_crash_resume;
+          Alcotest.test_case "options validated at submit" `Quick
+            test_jobs_options_validated_at_submit;
+          Alcotest.test_case "anonymize job = /v1/anonymize" `Quick
+            test_jobs_anonymize_matches_endpoint;
+          Alcotest.test_case "recovery skips undecodable options" `Quick
+            test_recovery_skips_undecodable_options;
         ] );
       ( "retry",
         [

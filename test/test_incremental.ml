@@ -267,7 +267,7 @@ let default_measure () =
 
 let put_csv ?compiled reg id csv =
   Srv.Registry.put reg ~id ~digest:csv ~bytes:(String.length csv)
-    ~options:Srv.Codec.default_options ~measure:(default_measure ())
+    ~options:Srv.Codec.default_options
     ~compiled:(Option.value ~default:None (Option.map Option.some compiled))
     (md_of_csv csv)
 
@@ -570,6 +570,23 @@ let test_e2e_registry_flow () =
       let status, _ = call ~meth:"GET" ~target:"/v1/datasets/fig" () in
       Alcotest.(check int) "deleted 404" 404 status)
 
+(* Registration decodes its options through the shared decoder: a
+   semantics the cycle would refuse is refused at PUT, and nothing is
+   registered. *)
+let test_e2e_put_rejects_bad_semantics () =
+  let csv = Lazy.force figure6_csv in
+  with_server (fun port ->
+      let status, body =
+        http_call ~port ~meth:"PUT" ~target:"/v1/datasets/x?semantics=bogus"
+          ~headers:[ ("content-type", "text/csv") ]
+          ~body:csv ()
+      in
+      Alcotest.(check int) "422" 422 status;
+      Alcotest.(check (option string))
+        "semantics.unknown" (Some "semantics.unknown") (error_code body);
+      let status, _ = http_call ~port ~meth:"GET" ~target:"/v1/datasets/x" () in
+      Alcotest.(check int) "nothing registered" 404 status)
+
 let () =
   Alcotest.run "incremental"
     [
@@ -607,5 +624,7 @@ let () =
         [
           Alcotest.test_case "upload/append/re-risk/delete" `Quick
             test_e2e_registry_flow;
+          Alcotest.test_case "PUT rejects an unknown semantics" `Quick
+            test_e2e_put_rejects_bad_semantics;
         ] );
     ]

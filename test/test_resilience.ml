@@ -147,8 +147,14 @@ let test_error_of_exn () =
     "unsupported" "measure.unsupported"
     (code_of (S.Vadalog_bridge.Unsupported "mc"));
   Alcotest.(check string)
+    "eval" "program.eval"
+    (code_of (V.Expr.Eval_error "+: non-numeric operands"));
+  Alcotest.(check string)
     "unix" "io.unix"
     (code_of (Unix.Unix_error (Unix.ENOENT, "open", "f")));
+  Alcotest.(check string)
+    "sys" "io.file"
+    (code_of (Sys_error "f: No such file or directory"));
   Alcotest.(check string)
     "fallback" "internal.exception" (code_of Not_found)
 
@@ -511,6 +517,38 @@ let test_e2e_server_max_facts_degrades () =
         "ceiling reason" true
         (Astring_contains.contains body "budget.fact_ceiling"))
 
+(* Arithmetic over a labelled null is a fault of the client's program,
+   not of the server: /v1/explain answers a typed 422 and the
+   endpoint's circuit stays closed, even at a one-failure threshold. *)
+let test_e2e_eval_error_is_typed () =
+  let handlers =
+    Srv.Handlers.create ~breaker_threshold:1 ~breaker_cooldown:60.0 ()
+  in
+  with_server ~handlers (fun _server port ->
+      let program =
+        "e(1, 2).\n\
+         p(X, N) :- e(X, Y).\n\
+         q(Y, X) :- p(X, Y).\n\
+         r(X, W) :- q(X, Y), W = X + Y.\n"
+      in
+      let body =
+        Json.to_string
+          (Json.Obj
+             [ ("program", Json.Str program); ("fact", Json.Str "e(1, 2)") ])
+      in
+      let status, resp =
+        http_call ~port ~meth:"POST" ~target:"/v1/explain"
+          ~headers:[ ("content-type", "application/json") ]
+          ~body ()
+      in
+      Alcotest.(check int) "typed 422" 422 status;
+      Alcotest.(check bool)
+        "program.eval code" true
+        (Astring_contains.contains resp "program.eval");
+      Alcotest.(check string)
+        "breaker stays closed" "closed"
+        (Srv.Breaker.state (Srv.Handlers.breaker handlers) "POST /v1/explain"))
+
 (* --- suite ---------------------------------------------------------------- *)
 
 let () =
@@ -587,5 +625,7 @@ let () =
             test_e2e_fault_500_and_breaker;
           Alcotest.test_case "server-wide fact ceiling" `Slow
             test_e2e_server_max_facts_degrades;
+          Alcotest.test_case "eval error is a typed 422" `Slow
+            test_e2e_eval_error_is_typed;
         ] );
     ]
